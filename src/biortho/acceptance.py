@@ -70,7 +70,7 @@ def _spectra(n, theta, b, seed, trials):
 # ----------------------------------------------------------------------
 
 def criterion_1_moments():
-    """dh_moment_numeric vs k^k/(k+1)! for k = 0..6, rel. error <= 1e-6."""
+    """DHLaw.moment_numeric vs k^k/(k+1)! for k = 0..6, rel. error <= 1e-6."""
     law = dh_law.default_law()
     worst = 0.0
     for k in range(7):

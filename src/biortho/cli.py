@@ -180,8 +180,8 @@ def _cmd_dh(args):
             else:
                 grid = np.linspace(0.0, float(np.e), args.grid_points)
             print("x,value")
-            for xv in grid:
-                print(f"{_g17(xv)},{_g17(fn(xv))}")
+            for xv, val in zip(grid, fn(grid)):
+                print(f"{_g17(xv)},{_g17(val)}")
         else:
             if args.x is None:
                 raise ValueError("--x is required without --csv")

@@ -42,6 +42,8 @@ _X_HIGH = 2.0                 # above: integrate in s = sqrt(e - x)
 _T_MAX = 1.0e9                # truncation of the t axis
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 _LOG_PI = math.log(math.pi)
+_LOG_TINY = math.log(5e-324)  # quantiles below p ~ 1.3e-3 saturate here
+_QUANTILE_MAX_ITER = 100      # bisection alone needs at most ~52 from any panel
 
 _KIND_T, _KIND_X, _KIND_S = 0, 1, 2
 
@@ -216,6 +218,8 @@ class DHLaw:
 
     mesh is the base panel count per region; it is doubled until two
     successive total masses agree to `tol` (self-validating quadrature).
+    `doublings` records the last level built and `converged` whether two
+    totals met `tol` within `max_doublings`; if not, the last table is kept.
     Construction happens once; evaluations afterwards are read-only and
     safe to share across workers.
     """
@@ -227,20 +231,18 @@ class DHLaw:
         self.mesh_parameter = mesh
         self.tol = float(tol)
         prev = None
-        table = None
+        self.converged = False
         for level in range(max_doublings + 1):
             table = _PanelTable(mesh << level)
             if prev is not None and abs(table.total - prev) <= tol:
+                self.converged = True
                 break
             prev = table.total
+        self.doublings = level
         self._table = table
         self.total_mass = table.total
 
     # -- pointwise ---------------------------------------------------------
-
-    @staticmethod
-    def density(x):
-        return dh_density(x)
 
     def cdf(self, x):
         """Integral of the density from 0 to x; monotone, cdf(e) = 1 - O(1e-9)."""
@@ -294,30 +296,62 @@ class DHLaw:
         return res
 
     def quantile(self, p):
-        """Inverse CDF by bisection, run in log(x) so that the heavy mass
-        near the origin is resolved to full relative precision (the absolute
-        tolerance in x is far below 1e-10 everywhere on (0, e))."""
+        """Inverse CDF by bracketed Newton in y = log x, so that the heavy
+        mass near the origin is resolved to full relative precision.
+
+        The table panel holding p gives the bracket and a start interpolated
+        linearly in (y, F).  Steps use dF/dy = x*f(x); a step that leaves the
+        bracket, or a slope that overflows below x ~ 1e-305, falls back to the
+        midpoint.  A level stops when |F - p| <= 4e-16*p or its step or
+        bracket is below 4e-16*(1 + |y|), and RuntimeError is raised after
+        _QUANTILE_MAX_ITER steps.  The bracket is clipped at log(5e-324), so
+        quantiles below p ~ 1.3e-3 saturate there.  Levels iterate
+        independently (results do not depend on the batch) and come out in
+        order up to rounding: levels a few ulps apart may swap by ~1e-12.
+        """
         arr = np.asarray(p, dtype=float)
         scalar = arr.ndim == 0
         pp = np.atleast_1d(arr).astype(float)
         if np.any((pp <= 0.0) | (pp >= 1.0)):
             raise ValueError("quantile requires 0 < p < 1")
-        lo = np.full(pp.shape, math.log(5e-324))
-        hi = np.full(pp.shape, 1.0)            # log(e)
-        for _ in range(70):
-            mid = 0.5 * (lo + hi)
-            c = self.cdf(np.exp(mid))
-            low = c < pp
-            lo = np.where(low, mid, lo)
-            hi = np.where(low, hi, mid)
-        q = np.exp(0.5 * (lo + hi))
+        t = self._table
+        idx = np.searchsorted(t.cum, pp, side="right") - 1
+        in_a = t.kind[idx] == _KIND_T
+        with np.errstate(divide="ignore"):     # x_lo, x_hi underflow deep in region A
+            ylo = np.where(in_a, -t.hi_tr[idx], np.log(t.x_lo[idx]))
+            yhi = np.where(in_a, -t.lo_tr[idx], np.log(t.x_hi[idx]))
+        frac = (pp - t.cum[idx]) / t.integral[idx]
+        y = ylo + frac * (yhi - ylo)
+        ylo = np.maximum(ylo, _LOG_TINY)
+        yhi = np.maximum(yhi, _LOG_TINY)
+        y = np.clip(y, ylo, yhi)
+        todo = np.arange(pp.size)
+        for _ in range(_QUANTILE_MAX_ITER):
+            yk, pk, lo, hi = y[todo], pp[todo], ylo[todo], yhi[todo]
+            x = np.exp(yk)
+            g = self.cdf(x) - pk
+            slope = x * dh_density(x)
+            below = g < 0.0
+            lo = np.where(below, yk, lo)
+            hi = np.where(below, hi, yk)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = g / slope
+            tol = 4e-16 * (1.0 + np.abs(yk))
+            small = np.isfinite(slope) & (np.abs(step) <= tol)
+            nxt = yk - step
+            nxt = np.where(small | ((lo < nxt) & (nxt < hi)), nxt, 0.5 * (lo + hi))
+            hit = np.abs(g) <= 4e-16 * pk
+            y[todo] = np.where(hit, yk, nxt)
+            ylo[todo], yhi[todo] = lo, hi
+            todo = todo[~(hit | small | (hi - lo <= tol))]
+            if todo.size == 0:
+                break
+        else:
+            raise RuntimeError("DH quantile: Newton iteration did not converge")
+        q = np.exp(y)
         return float(q[0]) if scalar else q
 
     # -- moments -----------------------------------------------------------
-
-    @staticmethod
-    def moment_exact(k):
-        return dh_moment_exact(k)
 
     def moment_numeric(self, k):
         """Quadrature moment against the cached table; k up to 12."""
@@ -327,16 +361,6 @@ class DHLaw:
         if k > 12:
             raise ValueError("moment_numeric supports k <= 12")
         return self._table.moment(k)
-
-    # -- transforms ----------------------------------------------------------
-
-    @staticmethod
-    def stieltjes(z):
-        return dh_stieltjes(z)
-
-    @staticmethod
-    def r_transform(z):
-        return dh_r_transform(z)
 
 
 _DEFAULT_LAW = None
@@ -349,14 +373,3 @@ def default_law():
         _DEFAULT_LAW = DHLaw()
     return _DEFAULT_LAW
 
-
-def dh_cdf(x):
-    return default_law().cdf(x)
-
-
-def dh_quantile(p):
-    return default_law().quantile(p)
-
-
-def dh_moment_numeric(k):
-    return default_law().moment_numeric(k)

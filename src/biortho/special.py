@@ -13,7 +13,7 @@ Knuth, "On the Lambert W function", Adv. Comput. Math. 5 (1996):
 a square-root expansion near the branch point -1/e, a short series near 0,
 and log(z) - log(log(z)) for large arguments.  On the cut the branch
 condition Im(w) in (0, pi) is enforced structurally: the starting point
-comes from a monotone bisection of the boundary parametrization
+comes from a bracketed Newton solve on the boundary parametrization
 w = -v*cot(v) + i*v with v in (0, pi), and Halley steps that would leave
 the closed upper half-plane are damped.
 
@@ -28,6 +28,8 @@ _BRANCH_SLACK = 1e-15          # tolerated undershoot below -1/e on the real axi
 _MAX_ITER = 100
 _STEP_TOL = 1e-15              # |dw| <= tol*(1+|w|) declares convergence
 _HUGE = 1e290                  # above this |z|, w*exp(w) can overflow; use log form
+_CUT_MAX_ITER = 50             # a dense sweep of tau over (-1, 1e12] needs at most 6
+_EPS = np.finfo(float).eps
 
 
 class LambertWError(RuntimeError):
@@ -176,8 +178,16 @@ def lambert_w0_cut_above_log(tau):
 
     On the cut the root satisfies w = -v*cot(v) + i*v for a unique
     v in (0, pi), and log|x| = log(v) - log(sin v) - v*cot(v) is strictly
-    increasing in v, so a plain bisection pins v; it runs in delta = pi - v
-    to keep full relative precision at both ends.
+    increasing in v.  Newton runs in delta = pi - v, which keeps full
+    relative precision at both ends, on the decreasing function
+    h(delta) = log(pi - delta) - log(sin delta) + (pi - delta)*cot(delta) - tau,
+    from v = sqrt(2(tau + 1)) near the branch point and from
+    pi/delta = L - log L + log(L)/L, L = tau + 1, beyond it.  Residual signs
+    tighten the bracket [1e-14, pi - 1e-13]; a step that leaves it falls
+    back to the midpoint.  A point stops when its residual reaches the
+    rounding level of its terms or its step is below 4e-16*delta, and
+    LambertWError is raised after _CUT_MAX_ITER steps.  Points iterate
+    independently, so results do not depend on the batch.
     """
     t = np.atleast_1d(np.asarray(tau, dtype=float))
     if np.any(t <= -1.0):
@@ -186,14 +196,31 @@ def lambert_w0_cut_above_log(tau):
         raise ValueError("tau out of supported range (> 1e12)")
     dlo = np.full(t.shape, 1e-14)
     dhi = np.full(t.shape, np.pi - 1e-13)
-    for _ in range(110):
-        mid = 0.5 * (dlo + dhi)
-        sn = np.sin(mid)
-        h = np.log(np.pi - mid) - np.log(sn) + (np.pi - mid) * np.cos(mid) / sn
-        gt = h > t          # h decreases in delta; root lies at larger delta
-        dlo = np.where(gt, mid, dlo)
-        dhi = np.where(gt, dhi, mid)
-    d = 0.5 * (dlo + dhi)
+    big = np.maximum(t + 1.0, 3.0)
+    lg = np.log(big)
+    d = np.where(t < 2.0, np.pi - np.sqrt(2.0 * (t + 1.0)),
+                 np.pi / (big - lg + lg / big))
+    d = np.clip(d, dlo, dhi)
+    todo = np.arange(t.size)
+    for _ in range(_CUT_MAX_ITER):
+        dk, tk, lo, hi = d[todo], t[todo], dlo[todo], dhi[todo]
+        v, sn, cs = np.pi - dk, np.sin(dk), np.cos(dk)
+        a, b, c = np.log(v), np.log(sn), v * cs / sn
+        r = a - b + c - tk
+        slope = -1.0 / v - 2.0 * cs / sn - v / sn ** 2
+        right = r > 0.0             # h decreases in delta; root lies at larger delta
+        lo = np.where(right, dk, lo)
+        hi = np.where(right, hi, dk)
+        nxt = dk - r / slope
+        nxt = np.where((nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
+        noise = 4.0 * _EPS * (np.abs(a) + np.abs(b) + np.abs(c) + np.abs(tk))
+        done = (np.abs(r) <= noise) | (np.abs(nxt - dk) <= 4e-16 * dk)
+        d[todo], dlo[todo], dhi[todo] = nxt, lo, hi
+        todo = todo[~done]
+        if todo.size == 0:
+            break
+    else:
+        raise LambertWError("Newton iteration on the cut did not converge")
     sn = np.sin(d)
     u = (np.pi - d) * np.cos(d) / sn
     v = np.pi - d

@@ -88,6 +88,22 @@ class TestDhCommand:
         assert lines[0] == "x,value"
         assert len(lines) == 21
 
+    @pytest.mark.parametrize("op", ["density", "cdf", "quantile"])
+    def test_csv_matches_per_row_calls(self, capsys, op):
+        # one array call on the grid must print exactly what a scalar call
+        # per row prints
+        code, out, _ = run(capsys, "dh", op, "--csv", "--grid-points", "60")
+        assert code == 0
+        law = dh_law.default_law()
+        fn = {"density": dh_law.dh_density, "cdf": law.cdf,
+              "quantile": law.quantile}[op]
+        if op == "quantile":
+            grid = np.linspace(0.005, 0.995, 60)
+        else:
+            grid = np.linspace(0.0, float(np.e), 60)
+        rows = [f"{float(xv):.17g},{float(fn(xv)):.17g}" for xv in grid]
+        assert out == "x,value\n" + "\n".join(rows) + "\n"
+
 
 class TestSampleMatrix:
     def test_csv_deterministic(self, tmp_path, capsys):

@@ -108,6 +108,29 @@ class TestCdfQuantile:
             with pytest.raises(ValueError):
                 law.quantile(bad)
 
+    def test_quantile_batch_invariant(self, law):
+        # saturated, region A, middle, edge and beyond-total-mass levels
+        p = np.array([1e-4, 1.35e-3, 2e-3, 0.03925, 0.1, 0.5, 0.9, 0.999,
+                      1.0 - 1e-9, 1.0 - 1e-12])
+        q = law.quantile(p)
+        assert all(q[k] == law.quantile(pk) for k, pk in enumerate(p))
+
+    def test_quantile_iteration_cap_raises(self, law, monkeypatch):
+        monkeypatch.setattr(dh_law, "_QUANTILE_MAX_ITER", 1)
+        with pytest.raises(RuntimeError):
+            law.quantile(np.array([0.1, 0.5]))
+
+
+class TestConstruction:
+    def test_default_meets_tol(self, law):
+        assert law.converged
+        assert law.doublings >= 1
+
+    def test_unmet_tol_is_reported(self):
+        law = dh_law.DHLaw(tol=1e-30, max_doublings=0)
+        assert not law.converged
+        assert law.doublings == 0
+
 
 class TestMoments:
     @pytest.mark.parametrize("k,expected", [

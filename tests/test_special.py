@@ -139,6 +139,18 @@ class TestCutAbove:
         ident = np.log(np.abs(w)) + w.real - tau
         assert np.max(np.abs(ident) / tau) < 1e-12
 
+    def test_log_form_batch_invariant(self):
+        tau = np.concatenate([-1.0 + np.geomspace(1e-15, 1.0, 40),
+                              np.linspace(0.0, 40.0, 40), np.geomspace(40.0, 1e12, 40)])
+        w = special.lambert_w0_cut_above_log(tau)
+        assert all(w[k] == special.lambert_w0_cut_above_log(t)[0]
+                   for k, t in enumerate(tau))
+
+    def test_log_form_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(special, "_CUT_MAX_ITER", 1)
+        with pytest.raises(special.LambertWError):
+            special.lambert_w0_cut_above_log(np.array([0.5, 5.0, 50.0]))
+
 
 def test_combined_roundtrip_budget():
     # the acceptance-scale sweep: 1e4 points across all three regimes
