@@ -266,9 +266,7 @@ def _cmd_equilibrium(args):
         mu = report.minimizer
         from .measures import voronoi_cell_widths
         widths = voronoi_cell_widths(mu.nodes)
-        edges = np.concatenate([[mu.nodes[0] - widths[0] / 2],
-                                0.5 * (mu.nodes[1:] + mu.nodes[:-1]),
-                                [mu.nodes[-1] + widths[-1] / 2]])
+        edges = equilibrium._cell_edges(mu.nodes, widths)
         heights = mu.weights / widths
         overlay = None
         if args.overlay_dh:
@@ -305,8 +303,8 @@ def _cmd_rate_largest(args):
     }
     _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"b_eq {report.b_eq:.6g}  kappa {report.kappa:.6g}  "
-          f"J range [{js[0]:.4g}, {js[-1]:.4g}]")
-    return 0
+          f"J range [{js[0]:.4g}, {js[-1]:.4g}]  converged {report.converged}")
+    return 0 if report.converged else 2
 
 
 def _cmd_quantile_check(args):

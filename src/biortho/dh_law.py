@@ -300,14 +300,17 @@ class DHLaw:
         mass near the origin is resolved to full relative precision.
 
         The table panel holding p gives the bracket and a start interpolated
-        linearly in (y, F).  Steps use dF/dy = x*f(x); a step that leaves the
-        bracket, or a slope that overflows below x ~ 1e-305, falls back to the
+        linearly in (y, F).  Steps use dF/dy = x*f(x), formed as
+        exp(Re w - tau)*sin(Im w)/pi with tau = -y as in region A, so it stays
+        finite as x -> 0; a step that leaves the bracket falls back to the
         midpoint.  A level stops when |F - p| <= 4e-16*p or its step or
-        bracket is below 4e-16*(1 + |y|), and RuntimeError is raised after
-        _QUANTILE_MAX_ITER steps.  The bracket is clipped at log(5e-324), so
-        quantiles below p ~ 1.3e-3 saturate there.  Levels iterate
-        independently (results do not depend on the batch) and come out in
-        order up to rounding: levels a few ulps apart may swap by ~1e-12.
+        bracket is below 4e-16*(1 + |y|) or the relative spacing of x (coarse
+        where x is subnormal, so that a smaller step cannot move x);
+        RuntimeError is raised after _QUANTILE_MAX_ITER steps.  The bracket is
+        clipped at log(5e-324), so quantiles below p ~ 1.3e-3 saturate there.
+        Levels iterate independently (results do not depend on the batch) and
+        come out in order up to rounding: levels a few ulps apart may swap by
+        ~1e-12.
         """
         arr = np.asarray(p, dtype=float)
         scalar = arr.ndim == 0
@@ -330,15 +333,20 @@ class DHLaw:
             yk, pk, lo, hi = y[todo], pp[todo], ylo[todo], yhi[todo]
             x = np.exp(yk)
             g = self.cdf(x) - pk
-            slope = x * dh_density(x)
+            tau = -yk
+            ok = tau > -1.0 + 1e-15
+            w = special.lambert_w0_cut_above_log(tau[ok])
+            slope = np.zeros(tau.shape)      # dF/dy = x*f(x), finite as x -> 0
+            with np.errstate(under="ignore"):
+                slope[ok] = np.exp(w.real - tau[ok]) * np.sin(w.imag) / np.pi
             below = g < 0.0
             lo = np.where(below, yk, lo)
             hi = np.where(below, hi, yk)
             with np.errstate(divide="ignore", invalid="ignore"):
                 step = g / slope
-            tol = 4e-16 * (1.0 + np.abs(yk))
-            small = np.isfinite(slope) & (np.abs(step) <= tol)
-            nxt = yk - step
+            tol = np.maximum(4e-16 * (1.0 + np.abs(yk)), np.spacing(x) / x)
+            small = np.abs(step) <= tol
+            nxt = np.clip(yk - step, lo, hi)
             nxt = np.where(small | ((lo < nxt) & (nxt < hi)), nxt, 0.5 * (lo + hi))
             hit = np.abs(g) <= 4e-16 * pk
             y[todo] = np.where(hit, yk, nxt)

@@ -70,26 +70,6 @@ def sample_triangular(params, trial=0):
     return t
 
 
-def eigenvalues_psd(m):
-    """Ascending eigenvalues of a Hermitian matrix.
-
-    Rejects matrices that are not Hermitian to 1e-12 relative accuracy;
-    eigensolver failure raises rather than returning silently.
-    """
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("expected a square matrix")
-    scale = max(float(np.max(np.abs(m))), 1e-300)
-    herm_err = float(np.max(np.abs(m - m.conj().T)))
-    if herm_err > 1e-12 * scale:
-        raise ValueError(
-            f"matrix is not Hermitian (relative deviation {herm_err / scale:.3g})")
-    try:
-        return np.linalg.eigvalsh(m)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"Hermitian eigensolver failed: {exc}") from exc
-
-
 def sample_spectrum(params, trial=0):
     """Empirical measure of the eigenvalues of T T*/n for one trial.
 

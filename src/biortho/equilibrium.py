@@ -10,19 +10,28 @@ quadratic F(w) = w'Mw/2 + V'w on the probability simplex, with
 M = K(nodes) + K(g(nodes)).  Fixing the nodes and optimizing only the
 weights keeps the problem convex.
 
-The solver is entropic mirror descent: multiplicative weight updates
-w <- w * exp(-eta * grad) / Z with a backtracking line search on eta (the
-objective never increases) and geometric step growth after accepted moves,
-which lets off-support weights decay exponentially fast once the support
-has stabilized.  Termination is by the KKT residual
+Its KKT conditions are the discrete Frostman conditions: the gradient
+d = Mw + V equals a constant c on the support and is no smaller off it
+(Saff & Totik, Logarithmic Potentials with External Fields, 1997).  The
+solver is a primal active-set method in the style of Lawson-Hanson NNLS
+(Solving Least Squares Problems, 1974).  Each iteration solves the problem
+restricted to the current face exactly, through the saddle system
+
+    [M_SS  -1] [z]   [-V_S]
+    [1'     0] [c] = [  1 ],
+
+which is nonsingular because M is positive definite on sum-zero vectors.
+If z has a nonpositive entry, w steps toward z until its first weight
+reaches zero and that node leaves the face; otherwise w moves to z and the
+off-support node of smallest gradient joins the face if it violates the
+conditions by more than tol.  Off-support weights are exact zeros.
+Termination is by the KKT residual
 
     max( c - min_i d_i,  max_{i in support} |d_i - c| ),   c = sum w_i d_i,
 
-where d is the objective gradient; "in support" means weight above
-1e-6/m, since multiplicative updates never produce exact zeros.  The same
-threshold defines the support endpoint b_eq reported for the
-largest-particle rate function J, whose additive constant is fixed by
-J(b_eq) = 0.
+with the support {w > 0}; its last node is the endpoint b_eq reported
+for the largest-particle rate function J, whose additive constant is
+fixed by J(b_eq) = 0.
 """
 
 from dataclasses import dataclass
@@ -32,17 +41,14 @@ import numpy as np
 from .measures import (GridMeasure, energy_kernel, log_energy_grid,
                        log_energy_offdiag, pushforward, voronoi_cell_widths)
 
-SUPPORT_THRESHOLD_SCALE = 1e-6
-_ETA_MAX = 1e12
-_ETA_MIN = 1e-18
-
 
 @dataclass
 class SolverReport:
-    """Minimizer plus diagnostics; converged=False means the iteration cap
-    was hit (or the line search stalled) and the best iterate is reported.
-    objective_trace records the accepted objective values, which are
-    non-increasing by construction."""
+    """Minimizer plus diagnostics.  iterations counts face solves;
+    converged=False means the cap max_iter was reached before the KKT
+    residual met tol, and the last iterate is reported.  objective_trace
+    holds the objective after each face solve, non-increasing since every
+    step moves toward a face minimizer."""
 
     minimizer: GridMeasure
     objective: float
@@ -121,9 +127,9 @@ def _quadratic_model(nodes, cfg):
     return m, np.asarray(cfg.v(nodes), dtype=float)
 
 
-def _kkt(grad, w, threshold):
+def _kkt(grad, w):
     c = float(w @ grad)
-    active = w > threshold
+    active = w > 0
     res = c - float(grad.min())
     if active.any():
         res = max(res, float(np.max(np.abs(grad[active] - c))))
@@ -134,77 +140,73 @@ def kkt_residual(m, cfg):
     """First-order optimality residual of a grid measure for the discrete
     rate functional; 0 means exact discrete optimality."""
     mat, vv = _quadratic_model(m.nodes, cfg)
-    grad = mat @ m.weights + vv
-    return _kkt(grad, m.weights, SUPPORT_THRESHOLD_SCALE / m.n)
+    return _kkt(mat @ m.weights + vv, m.weights)
 
 
 def minimize_I(cfg, grid, tol=1e-6, max_iter=200_000, w0=None):
-    """Entropic mirror descent for the discrete rate functional.
+    """Primal active-set solve of the discrete rate functional, started
+    from the support of w0 (all nodes, uniform weights, by default).
 
-    Returns a SolverReport; converged=False (iteration cap or stalled line
-    search above tolerance) still carries the best iterate found.
+    Returns a SolverReport; converged=False (max_iter face solves without
+    meeting tol) still carries the last iterate.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     nodes = np.asarray(grid, dtype=float)
     mat, vv = _quadratic_model(nodes, cfg)
     m = nodes.size
-    threshold = SUPPORT_THRESHOLD_SCALE / m
     if w0 is None:
         w = np.full(m, 1.0 / m)
     else:
-        w = np.asarray(w0, dtype=float).copy()
-        if w.size != m or np.any(w < 0):
+        w = np.asarray(w0, dtype=float)
+        if w.size != m or np.any(w < 0) or not w.sum() > 0:
             raise ValueError("w0 must be a nonnegative weight vector on the grid")
-        w = np.maximum(w, 1e-300)
         w = w / w.sum()
-    logw = np.log(w)
-    obj = 0.5 * float(w @ (mat @ w)) + float(vv @ w)
+    free = w > 0
     grad = mat @ w + vv
-    eta = 1.0
-    kkt = _kkt(grad, w, threshold)
+    obj = 0.5 * float(w @ (grad + vv))
+    kkt = _kkt(grad, w)
     iterations = 0
     trace = [obj]
-    converged = kkt <= tol
-    while not converged and iterations < max_iter:
+    while kkt > tol and iterations < max_iter:
         iterations += 1
-        accepted = False
-        while eta >= _ETA_MIN:
-            lw = logw - eta * grad
-            lw -= lw.max()
-            with np.errstate(under="ignore"):
-                wn_raw = np.exp(lw)
-            z = wn_raw.sum()
-            wn = wn_raw / z
-            obj_n = 0.5 * float(wn @ (mat @ wn)) + float(vv @ wn)
-            if obj_n <= obj:
-                accepted = True
-                break
-            eta *= 0.5
-        if not accepted:
-            break
-        logw = lw - np.log(z)
-        w = wn
-        obj = obj_n
-        trace.append(obj)
+        s = np.flatnonzero(free)
+        k = s.size
+        saddle = np.zeros((k + 1, k + 1))
+        saddle[:k, :k] = mat[np.ix_(s, s)]
+        saddle[:k, k] = -1.0
+        saddle[k, :k] = 1.0
+        z = np.linalg.solve(saddle, np.append(-vv[s], 1.0))[:k]
+        blocked = z <= 0
+        if blocked.any():
+            ws = w[s]
+            ratios = ws[blocked] / (ws[blocked] - z[blocked])
+            ws += ratios.min() * (z - ws)
+            ws[np.flatnonzero(blocked)[ratios.argmin()]] = 0.0
+            w[s] = np.maximum(ws, 0.0)
+            free = w > 0
+        else:
+            w[s] = z
         grad = mat @ w + vv
-        kkt = _kkt(grad, w, threshold)
-        converged = kkt <= tol
-        eta = min(eta * 1.5, _ETA_MAX)
+        obj = 0.5 * float(w @ (grad + vv))
+        trace.append(obj)
+        kkt = _kkt(grad, w)
+        if not blocked.any():
+            j = np.where(free, np.inf, grad).argmin()
+            if float(w @ grad) - grad[j] > tol:
+                free[j] = True
     minimizer = GridMeasure(nodes, w)
-    b_eq = _support_endpoint(minimizer, threshold)
+    b_eq = _support_endpoint(minimizer)
     kappa = _effective_potential(np.array([b_eq]), minimizer, cfg)[0]
     return SolverReport(minimizer=minimizer, objective=obj, kkt_residual=kkt,
                         b_eq=b_eq, kappa=kappa, iterations=iterations,
-                        converged=converged, objective_trace=np.array(trace))
+                        converged=kkt <= tol, objective_trace=np.array(trace))
 
 
-def _support_endpoint(mu, threshold=None):
-    if threshold is None:
-        threshold = SUPPORT_THRESHOLD_SCALE / mu.n
-    idx = np.nonzero(mu.weights > threshold)[0]
+def _support_endpoint(mu):
+    idx = np.flatnonzero(mu.weights > 0)
     if idx.size == 0:
-        raise ValueError("measure has no weight above the support threshold")
+        raise ValueError("measure has no positive weight")
     return float(mu.nodes[idx[-1]])
 
 

@@ -173,6 +173,21 @@ class TestEquilibriumCommand:
         assert payload["j"][0] == 0.0
         assert all(b >= a for a, b in zip(payload["j"], payload["j"][1:]))
 
+    def test_rate_largest_unconverged_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "j.json"
+        code, _, _ = run(capsys, "rate-largest", "--grid", "60", "--domain", "1e-3,4",
+                         "--max-iter", "1", "--points", "10", "--out", str(out))
+        assert code == 2
+        assert len(json.loads(out.read_text())["j"]) == 10
+
+    def test_equilibrium_defaults_converge(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code, _, _ = run(capsys, "equilibrium", "--out", str(out))
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert payload["converged"] is True
+        assert payload["kkt_residual"] <= payload["run_config"]["params"]["tol"]
+
 
 class TestQuantileCheckCommand:
     def test_uniform_json(self, capsys):

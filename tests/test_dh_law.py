@@ -115,6 +115,15 @@ class TestCdfQuantile:
         q = law.quantile(p)
         assert all(q[k] == law.quantile(pk) for k, pk in enumerate(p))
 
+    def test_quantile_newton_below_1e_305(self, law, monkeypatch):
+        # the quantile of 1.4e-3 is subnormal; its slope x*f(x) must stay
+        # finite so that Newton, not bisection, finds it
+        cdf, calls = law.cdf, []
+        monkeypatch.setattr(law, "cdf", lambda x: calls.append(1) or cdf(x))
+        q = law.quantile(1.4e-3)
+        assert len(calls) <= 10
+        assert abs(cdf(q) - 1.4e-3) <= 1e-8
+
     def test_quantile_iteration_cap_raises(self, law, monkeypatch):
         monkeypatch.setattr(dh_law, "_QUANTILE_MAX_ITER", 1)
         with pytest.raises(RuntimeError):

@@ -69,46 +69,6 @@ class TestSampleTriangular:
         assert not np.array_equal(a, c)
 
 
-class TestEigenvaluesPsd:
-    def test_identity(self):
-        assert np.allclose(en.eigenvalues_psd(np.eye(5)), np.ones(5))
-
-    def test_analytic_2x2(self):
-        w = en.eigenvalues_psd(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert np.allclose(w, [1.0, 3.0])
-
-    def test_trace_identities(self):
-        rng = np.random.default_rng(2)
-        a = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
-        h = a @ a.conj().T
-        h = 0.5 * (h + h.conj().T)
-        w = en.eigenvalues_psd(h)
-        tr = np.trace(h).real
-        assert abs(w.sum() - tr) <= 1e-9 * (1 + abs(tr))
-        fro2 = np.linalg.norm(h, "fro") ** 2
-        assert abs((w ** 2).sum() - fro2) <= 1e-9 * (1 + fro2)
-
-    def test_eigenpair_residuals(self):
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30))
-        h = a + a.conj().T
-        w, v = np.linalg.eigh(h)
-        assert np.allclose(en.eigenvalues_psd(h), w)
-        res = np.linalg.norm(h @ v - v * w, axis=0)
-        assert res.max() <= 1e-10 * np.linalg.norm(h)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            en.eigenvalues_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        with pytest.raises(ValueError):
-            en.eigenvalues_psd(np.ones((2, 3)))
-
-    def test_ascending(self):
-        rng = np.random.default_rng(4)
-        h = np.diag(rng.uniform(0, 5, 20))
-        assert np.all(np.diff(en.eigenvalues_psd(h)) >= 0)
-
-
 class TestSampleSpectrum:
     def test_n_equals_one_is_exponential(self):
         draws = np.array([

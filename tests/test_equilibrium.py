@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from biortho import dh_law, equilibrium as eq
+from biortho import acceptance, dh_law, equilibrium as eq
 from biortho.gas_sampler import GasConfig, GFunction, Potential
 from biortho.measures import (EmpiricalMeasure, GridMeasure,
                               log_energy_grid, w1_distance)
@@ -121,10 +121,37 @@ class TestMinimize:
 
     def test_failure_report_on_iteration_cap(self):
         grid = eq.make_grid(100, 1e-4, 4.0)
-        rep = eq.minimize_I(dh_cfg(), grid, tol=1e-12, max_iter=50)
+        rep = eq.minimize_I(dh_cfg(), grid, tol=1e-12, max_iter=5)
         assert not rep.converged
-        assert rep.iterations == 50
+        assert rep.iterations == 5
         assert rep.minimizer.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_exact_zeros_off_support(self, dh_report):
+        w = dh_report.minimizer.weights
+        support = np.flatnonzero(w > 0)
+        assert 0 < support.size < w.size
+        assert np.all(w[w <= 0] == 0.0)
+        assert dh_report.b_eq == dh_report.minimizer.nodes[support[-1]]
+
+    def test_kkt_exact_on_criterion_5_grid(self):
+        rep = acceptance._dh_equilibrium()
+        assert rep.converged
+        assert rep.kkt_residual <= 1e-12
+        assert eq.kkt_residual(rep.minimizer, dh_cfg()) <= 1e-12
+
+    def test_objective_matches_slsqp(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        grid = eq.make_grid(20, 1e-3, 4.0)
+        mat, vv = eq._quadratic_model(grid, dh_cfg())
+        rep = eq.minimize_I(dh_cfg(), grid, tol=1e-12)
+        ref = optimize.minimize(
+            lambda w: 0.5 * w @ mat @ w + vv @ w, np.full(20, 0.05),
+            jac=lambda w: mat @ w + vv, method="SLSQP", bounds=[(0, 1)] * 20,
+            constraints={"type": "eq", "fun": lambda w: w.sum() - 1.0},
+            options={"ftol": 1e-14, "maxiter": 1000})
+        assert ref.success
+        assert rep.converged
+        assert rep.objective == pytest.approx(ref.fun, abs=1e-8)
 
     def test_grid_doubling_self_consistency(self, dh_report):
         grid2 = eq.make_grid(400, 1e-4, 4.0)
@@ -152,6 +179,8 @@ class TestMinimize:
             eq.minimize_I(dh_cfg(), eq.make_grid(50, 1e-3, 4.0), tol=-1.0)
         with pytest.raises(ValueError):
             eq.minimize_I(dh_cfg(), np.array([-1.0, 2.0]), tol=1e-4)
+        with pytest.raises(ValueError):
+            eq.minimize_I(dh_cfg(), eq.make_grid(50, 1e-3, 4.0), w0=np.zeros(50))
 
 
 class TestRateJ:
