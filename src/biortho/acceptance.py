@@ -154,12 +154,9 @@ def criterion_6_cross_method():
     w1_a = w1_distance(rep.minimizer, pooled512)
 
     cfg = GasConfig(n=32, g=GFunction("identity"), v=Potential.linear(1.0), b=1.0)
-    chains = []
-    for c in range(20):
-        _, diag = mcmc_sample(cfg, steps=1500, burn_in=800, seed=1000 + c,
-                              record_every=10)
-        chains.append(diag.trace.ravel())
-    pooled_mc = EmpiricalMeasure(np.concatenate(chains))
+    _, diag = mcmc_sample(cfg, steps=1500, burn_in=800, seed=1000,
+                          record_every=10, chains=20)
+    pooled_mc = EmpiricalMeasure(diag.trace)
     pooled32 = EmpiricalMeasure(np.concatenate(
         [s.points for s in _spectra(32, 1.0, 1.0, 5, 50)]))
     w1_b = w1_distance(pooled_mc, pooled32)
@@ -316,21 +313,19 @@ class CriterionResult:
 def run_criterion(index):
     for idx, name, fn in CRITERIA:
         if idx == index:
-            t0 = time.time()
+            t0 = time.perf_counter()
             passed, detail = fn()
-            return CriterionResult(idx, name, passed, detail, time.time() - t0)
+            return CriterionResult(idx, name, passed, detail, time.perf_counter() - t0)
     raise ValueError(f"no criterion {index}")
 
 
 def run_all(only=None):
     results = []
-    for idx, name, fn in CRITERIA:
+    for idx, _, _ in CRITERIA:
         if only and idx not in only:
             continue
-        t0 = time.time()
-        passed, detail = fn()
-        res = CriterionResult(idx, name, passed, detail, time.time() - t0)
-        print(f"criterion {idx:2d} {name:<28} "
-              f"{'PASS' if passed else 'FAIL'}  {res.detail}")
+        res = run_criterion(idx)
+        print(f"criterion {idx:2d} {res.name:<28} "
+              f"{'PASS' if res.passed else 'FAIL'}  {res.detail}")
         results.append(res)
     return results

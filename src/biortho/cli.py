@@ -12,7 +12,6 @@ byte-identical for identical inputs.
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,25 +218,13 @@ def _cmd_sample_matrix(args):
 def _cmd_sample_gas(args):
     cfg = GasConfig(n=args.n, g=GFunction.parse(args.g),
                     v=Potential.parse(args.V), b=args.b)
-    rows = []
-    diags = []
-
-    def run_chain(c):
-        return mcmc_sample(cfg, steps=args.steps, burn_in=args.burn_in,
-                           seed=(args.seed << 16) + c)
-
-    workers = ensemble.thread_count()
-    if workers > 1 and args.chains > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_chain, range(args.chains)))
-    else:
-        results = [run_chain(c) for c in range(args.chains)]
-    for c, (meas, diag) in enumerate(results):
-        rows.append(str(c) + "," + ",".join(_g17(v) for v in meas.points))
-        diags.append(diag)
+    _, diag = mcmc_sample(cfg, steps=args.steps, burn_in=args.burn_in,
+                          seed=args.seed << 16, chains=args.chains)
+    rows = [str(c) + "," + ",".join(_g17(v) for v in np.sort(x))
+            for c, x in enumerate(diag.final)]
     header = "chain," + ",".join(f"x{i + 1}" for i in range(args.n))
     _write_text(args.out, "\n".join([header] + rows) + "\n")
-    acc = ", ".join(f"{d.acceptance_rate:.3f}" for d in diags)
+    acc = ", ".join(f"{a:.3f}" for a in diag.chain_acceptance)
     print(f"wrote {args.chains} chains to {args.out}; acceptance rates: {acc}")
     return 0
 

@@ -11,8 +11,15 @@ space is (0, inf)^n and a multiplicative walk is scale-free there -- with
 the log-coordinate Jacobian folded into the acceptance ratio.  Step sizes
 adapt by Robbins-Monro during burn-in only and are frozen afterwards, so
 retained samples come from a fixed reversible kernel.
+
+Several chains run in lock-step on one thread: coordinate i of every chain
+is updated by one set of numpy operations on (chains, n) arrays.  Chain c
+draws from its own Philox stream keyed by seed + c, and the arithmetic is
+the single-chain arithmetic in the same order, so each chain is bit for bit
+the single-chain run at key seed + c, whatever the number of chains.
 """
 
+import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -222,97 +229,120 @@ def log_gas_density(cfg, x):
 
 @dataclass
 class McmcDiagnostics:
-    """Sampler diagnostics: post-burn-in acceptance rate, frozen step sizes,
-    and (optionally) a thinned trace of configurations."""
+    """Sampler diagnostics: post-burn-in acceptance rate (pooled over the
+    chains), frozen step sizes, per-chain acceptance rates and final
+    configurations, an optional thinned trace, and the wall time.
+
+    With one chain, step_sizes is (n,) and trace (records, n); with k > 1
+    chains both carry a leading chain axis: (k, n) and (k, records, n).
+    chain_acceptance is always (k,) and final (k, n), unsorted."""
 
     acceptance_rate: float
     step_sizes: np.ndarray
     sweeps: int
     burn_in: int
+    chain_acceptance: np.ndarray
+    final: np.ndarray
+    wall_s: float
     trace: Optional[np.ndarray] = None
 
 
 def mcmc_sample(cfg, steps, burn_in, seed, init=None, record_every=0,
-                target_accept=0.35):
-    """Single-coordinate Metropolis for the gas; returns the final
-    configuration as an EmpiricalMeasure plus diagnostics.
+                target_accept=0.35, chains=1):
+    """Single-coordinate Metropolis for the gas, `chains` chains in
+    lock-step; returns the final configuration as an EmpiricalMeasure (all
+    chains' particles pooled) plus diagnostics.
 
     steps and burn_in count full sweeps (n proposals each).  Proposals are
     Gaussian steps on log coordinates; the acceptance ratio carries the
     Jacobian term, so the chain targets the gas density itself.  Proposals
     landing within 1e-14 of another coordinate are rejected outright.
     record_every > 0 stores every so-many post-burn-in sweeps in the
-    diagnostics trace.
+    diagnostics trace.  Chain c draws from Philox(key=seed + c) and is bit
+    for bit the single-chain run with that seed.
     """
     if steps < 1 or burn_in < 1:
         raise ValueError("steps and burn_in must be positive")
+    if chains < 1:
+        raise ValueError("chains must be positive")
     growth = check_growth(cfg)
     if not growth.passed:
         raise ValueError(
             f"growth check failed (worst ratio {growth.worst_ratio:.4g} <= 1); "
             "the rate functional would not confine this gas")
-    n = cfg.n
-    rng = np.random.Generator(np.random.Philox(key=int(seed) & (2 ** 64 - 1)))
+    t0 = time.perf_counter()
+    n, k = cfg.n, chains
+    rngs = [np.random.Generator(np.random.Philox(key=(int(seed) + c) & (2 ** 64 - 1)))
+            for c in range(k)]
     if init is None:
-        x = 2.0 * (np.arange(n) + 0.5) / n
+        x0 = 2.0 * (np.arange(n) + 0.5) / n
     else:
-        x = np.asarray(init, dtype=float).copy()
-        if x.size != n or np.any(x <= 0):
+        x0 = np.asarray(init, dtype=float).ravel()
+        if x0.size != n or np.any(x0 <= 0):
             raise ValueError("init must be n positive coordinates")
-    y = np.log(x)
-    gx = np.asarray(cfg.g(x), dtype=float)
-    vx = np.asarray(cfg.v(x), dtype=float)
-    sig = np.full(n, 0.5)
+    # state and proposals are ([x, g(x), log x, V(x)], chain, coordinate);
+    # each channel is one contiguous (chains, n) block
+    state = np.empty((4, k, n))
+    for ch, v in enumerate((x0, cfg.g(x0), np.log(x0), cfg.v(x0))):
+        state[ch] = v
+    prop = np.empty_like(state)
+    xp, gp, yp, vp = prop
+    gaps = np.empty((4, k, n))     # |new x_i - x|, |new g_i - g|, old ones
+    new_gaps, old_gaps, x_gaps, current = gaps[:2], gaps[2:], gaps[0], state[:2]
+    normals, uniforms = np.empty((k, n)), np.empty((k, n))
+    sig = np.full((k, n), 0.5)
     log_sig = np.log(sig)
+    accepted = np.zeros((k, n), dtype=bool)
+    accepted_post = np.zeros((k, n), dtype=np.int64)
+    trace = np.empty((k, len(range(0, steps, record_every)) if record_every else 0, n))
 
-    accepted_post = 0
-    proposals_post = 0
-    trace = []
-    total = burn_in + steps
-    for sweep in range(total):
-        normals = rng.standard_normal(n)
-        log_us = np.log(rng.random(n))
-        adapt = sweep < burn_in
-        gamma = (sweep + 1.0) ** -0.6 if adapt else 0.0
-        for i in range(n):
-            yi_new = y[i] + sig[i] * normals[i]
-            xi_new = np.exp(yi_new)
-            acc = False
-            if np.isfinite(xi_new) and xi_new > 0.0:
-                absdx_new = np.abs(xi_new - x)
-                absdx_new[i] = 1.0
-                if absdx_new.min() > _COINCIDENCE_TOL:
-                    gi_new = float(cfg.g(xi_new))
-                    absdg_new = np.abs(gi_new - gx)
-                    absdg_new[i] = 1.0
-                    absdx_old = np.abs(x[i] - x)
-                    absdx_old[i] = 1.0
-                    absdg_old = np.abs(gx[i] - gx)
-                    absdg_old[i] = 1.0
-                    vi_new = float(cfg.v(xi_new))
-                    delta = (-n * (vi_new - vx[i])
-                             + cfg.b * (yi_new - y[i])
-                             + np.sum(np.log(absdx_new)) - np.sum(np.log(absdx_old))
-                             + np.sum(np.log(absdg_new)) - np.sum(np.log(absdg_old)))
-                    if log_us[i] < delta:
-                        x[i] = xi_new
-                        y[i] = yi_new
-                        gx[i] = gi_new
-                        vx[i] = vi_new
-                        acc = True
-            if adapt:
-                log_sig[i] += gamma * ((1.0 if acc else 0.0) - target_accept)
-                sig[i] = np.exp(log_sig[i])
+    with np.errstate(all="ignore"):
+        for sweep in range(burn_in + steps):
+            for rng, z, u in zip(rngs, normals, uniforms):
+                rng.standard_normal(out=z)
+                rng.random(out=u)
+            log_us = np.log(uniforms)
+            # coordinate i's proposal depends only on its own log x_i and
+            # step size, which no earlier update in the sweep touches
+            np.add(state[2], sig * normals, out=yp)
+            np.exp(yp, out=xp)
+            gp[:] = cfg.g(xp)
+            vp[:] = cfg.v(xp)
+            pre = -n * (vp - state[3]) + cfg.b * (yp - state[2])
+            # a delta of -inf or nan rejects: proposals that left (0, inf)
+            # get it here, those within 1e-14 of another coordinate below
+            pre[~(np.isfinite(xp) & (xp > 0.0))] = -np.inf
+            for i in range(n):
+                np.subtract(prop[:2, :, i, None], current, out=new_gaps)
+                np.subtract(current[:, :, i, None], current, out=old_gaps)
+                np.abs(gaps, out=gaps)
+                gaps[:, :, i] = 1.0
+                close = x_gaps <= _COINCIDENCE_TOL
+                np.log(gaps, out=gaps)
+                if np.count_nonzero(close):
+                    x_gaps[close] = -np.inf
+                s = np.add.reduce(gaps, 2)
+                # the single-chain summation order, term by term
+                delta = pre[:, i] + s[0] - s[2] + s[1] - s[3]
+                acc = np.less(log_us[:, i], delta, out=accepted[:, i])
+                if np.count_nonzero(acc):
+                    np.copyto(state[:, :, i], prop[:, :, i], where=acc)
+            if sweep < burn_in:
+                log_sig += (sweep + 1.0) ** -0.6 * (accepted - target_accept)
+                np.exp(log_sig, out=sig)
             else:
-                proposals_post += 1
-                accepted_post += int(acc)
-        if record_every and sweep >= burn_in and (sweep - burn_in) % record_every == 0:
-            trace.append(x.copy())
+                accepted_post += accepted
+                if record_every and (sweep - burn_in) % record_every == 0:
+                    trace[:, (sweep - burn_in) // record_every] = state[0]
+    one = k == 1
     diag = McmcDiagnostics(
-        acceptance_rate=accepted_post / max(proposals_post, 1),
-        step_sizes=sig.copy(),
+        acceptance_rate=float(accepted_post.sum() / (k * n * steps)),
+        step_sizes=sig[0] if one else sig,
         sweeps=steps,
         burn_in=burn_in,
-        trace=np.array(trace) if trace else None,
+        chain_acceptance=accepted_post.sum(axis=1) / (n * steps),
+        final=state[0].copy(),
+        wall_s=time.perf_counter() - t0,
+        trace=(trace[0] if one else trace) if record_every else None,
     )
-    return EmpiricalMeasure(x), diag
+    return EmpiricalMeasure(state[0]), diag

@@ -112,7 +112,9 @@ def bl_distance(a, b):
     Maximizes sum_i f_i * (a_i - b_i) over |f_i| <= 1 with the Lipschitz
     constraint imposed between adjacent sorted support points (on the line
     adjacent increments control every 1-Lipschitz extension).  Solved as a
-    sparse LP.
+    sparse LP; the solver's f, feasible only to its tolerance (~1e-9), is
+    clipped along the sorted support into an exactly feasible one, so the
+    value returned is attained by a test function and never exceeds W1.
     """
     xa, wa = support_and_weights(a)
     xb, wb = support_and_weights(b)
@@ -132,7 +134,10 @@ def bl_distance(a, b):
                   method="highs")
     if not res.success:
         raise RuntimeError(f"bounded-Lipschitz LP failed: {res.message}")
-    return max(float(-res.fun), 0.0)
+    f = np.clip(res.x, -1.0, 1.0).tolist()
+    for i, h in enumerate(gaps.tolist()):
+        f[i + 1] = min(max(f[i + 1], f[i] - h), f[i] + h)
+    return max(float(np.dot(f, delta)), 0.0)
 
 
 def log_energy_offdiag(m):

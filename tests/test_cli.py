@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from biortho import cli, dh_law, special
+from biortho.gas_sampler import GasConfig, GFunction, Potential, mcmc_sample
 
 
 def run(capsys, *argv):
@@ -135,6 +136,23 @@ class TestSampleGas:
         assert "acceptance rates" in msg
         lines = out.read_text().splitlines()
         assert len(lines) == 3
+
+    def test_chains_match_single_chain_runs(self, tmp_path, capsys):
+        out = tmp_path / "gas.csv"
+        seed = 3
+        code, msg, _ = run(capsys, "sample-gas", "--n", "6", "--g", "log",
+                           "--steps", "50", "--burn-in", "30", "--chains", "3",
+                           "--seed", str(seed), "--out", str(out))
+        assert code == 0
+        rows = out.read_text().splitlines()[1:]
+        cfg = GasConfig(6, GFunction("log"), Potential.linear(1.0), 1.0)
+        rates = []
+        for c, row in enumerate(rows):
+            meas, diag = mcmc_sample(cfg, steps=50, burn_in=30, seed=(seed << 16) + c)
+            assert row == f"{c}," + ",".join(f"{v:.17g}" for v in meas.points)
+            rates.append(f"{diag.acceptance_rate:.3f}")
+        assert len(rows) == 3
+        assert msg.rstrip().endswith("acceptance rates: " + ", ".join(rates))
 
     def test_growth_failure_exit_1(self, tmp_path, capsys):
         code, _, err = run(capsys, "sample-gas", "--n", "4", "--g", "exp",

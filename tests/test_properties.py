@@ -1,15 +1,19 @@
-"""Property tests: the Lambert W cut identity, and the DH quantile's round
-trip and order.  Skipped when hypothesis is not installed."""
+"""Property tests: the Lambert W cut identity, the DH quantile's round trip
+and order, the W1 metric axioms and d_BL <= W1 on small empirical measures.
+Skipped when hypothesis is not installed."""
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from biortho import dh_law, special  # noqa: E402
+from biortho.measures import EmpiricalMeasure, bl_distance, w1_distance  # noqa: E402
 
 LEVELS = st.floats(min_value=2e-3, max_value=1.0 - 1e-9)
+MEASURES = st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=1,
+                    max_size=12).map(EmpiricalMeasure)
 
 
 @pytest.fixture(scope="module")
@@ -38,3 +42,19 @@ def test_quantile_monotone(law, p1, p2):
     lo, hi = min(p1, p2), max(p1, p2)
     q = law.quantile(np.array([lo, hi]))
     assert q[0] < q[1] or hi - lo <= 1e-12
+
+
+@settings(deadline=None)
+@given(MEASURES, MEASURES, MEASURES)
+def test_w1_metric_axioms(a, b, c):
+    assert w1_distance(a, a) <= 1e-12
+    ab = w1_distance(a, b)
+    assert abs(ab - w1_distance(b, a)) <= 1e-12
+    assert w1_distance(a, c) <= ab + w1_distance(b, c) + 1e-12
+
+
+@settings(deadline=None)
+@given(MEASURES, MEASURES)
+@example(EmpiricalMeasure([0.0]), EmpiricalMeasure([1.999999999]))   # LP returned 2.0
+def test_bl_below_w1(a, b):
+    assert bl_distance(a, b) <= w1_distance(a, b) + 1e-12
