@@ -38,7 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import (GridMeasure, energy_kernel, log_energy_grid,
+# log_energy_grid is unused here but stays importable under this module,
+# where perfbench/spans.py traces it
+from .measures import (GridMeasure, energy_kernel, log_energy_grid,  # noqa: F401
                        log_energy_offdiag, pushforward, voronoi_cell_widths)
 
 
@@ -101,27 +103,19 @@ def _pushed_widths(nodes, cell_widths, g):
 
 
 def rate_I(m, cfg, cell_widths=None):
-    """Discretized rate functional at a grid measure."""
-    if m.nodes[0] <= 0:
-        raise ValueError("rate_I requires nodes in (0, inf)")
-    if cell_widths is None:
-        cell_widths = voronoi_cell_widths(m.nodes) if m.n >= 2 else None
-        if cell_widths is None:
-            raise ValueError("single-node measures need explicit cell widths")
-    else:
-        cell_widths = np.asarray(cell_widths, dtype=float)
-    gn, gw = _pushed_widths(m.nodes, cell_widths, cfg.g)
-    e_x = log_energy_grid(m, cell_widths)
-    e_g = float(m.weights @ energy_kernel(gn, gw) @ m.weights)
-    return 0.5 * e_x + 0.5 * e_g + float(m.weights @ cfg.v(m.nodes))
+    """Discretized rate functional at a grid measure, w'Mw/2 + v'w."""
+    mat, vv = _quadratic_model(m.nodes, cfg, cell_widths)
+    return 0.5 * float(m.weights @ mat @ m.weights) + float(vv @ m.weights)
 
 
-def _quadratic_model(nodes, cfg):
-    """(M, v) with objective w'Mw/2 + v'w and gradient Mw + v."""
+def _quadratic_model(nodes, cfg, cell_widths=None):
+    """(M, v) with objective w'Mw/2 + v'w and gradient Mw + v.  Cell widths
+    default to the Voronoi widths, which need at least two nodes."""
     nodes = np.asarray(nodes, dtype=float)
     if np.any(nodes <= 0) or np.any(np.diff(nodes) <= 0):
         raise ValueError("grid must be strictly increasing in (0, inf)")
-    h = voronoi_cell_widths(nodes)
+    h = voronoi_cell_widths(nodes) if cell_widths is None else \
+        np.asarray(cell_widths, dtype=float)
     gn, gw = _pushed_widths(nodes, h, cfg.g)
     m = energy_kernel(nodes, h) + energy_kernel(gn, gw)
     return m, np.asarray(cfg.v(nodes), dtype=float)

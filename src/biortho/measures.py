@@ -3,9 +3,10 @@
 Two finitely supported containers: EmpiricalMeasure (uniform 1/n weights on
 sorted points) and GridMeasure (fixed nodes, probability weight vector).
 On top of them: push-forward by an increasing map, the exact W1 distance
-(integral of the CDF gap), the bounded-Lipschitz (Dudley) distance solved as
-a small linear program, off-diagonal and grid logarithmic energies, and the
-two-scale pair kernel with its confinement lower bound.
+(integral of the CDF gap), the exact bounded-Lipschitz (Dudley) distance by
+a dynamic program along the sorted support, off-diagonal and grid
+logarithmic energies, and the two-scale pair kernel with its confinement
+lower bound.
 
 The grid energy carries a diagonal regularization: a node of weight w and
 local cell width h contributes w^2 * (-log h + 3/2), the exact self-energy
@@ -15,11 +16,10 @@ consistent discretization of the continuous energy (the uniform law on
 from collapsing onto a single node.
 """
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-from scipy.optimize import linprog
 
 _CELL_SELF_ENERGY = 1.5      # iint -log|x-y| over the unit cell, unit density
 
@@ -109,35 +109,58 @@ def w1_distance(a, b):
 def bl_distance(a, b):
     """Bounded-Lipschitz (Dudley) distance between finitely supported measures.
 
-    Maximizes sum_i f_i * (a_i - b_i) over |f_i| <= 1 with the Lipschitz
-    constraint imposed between adjacent sorted support points (on the line
-    adjacent increments control every 1-Lipschitz extension).  Solved as a
-    sparse LP; the solver's f, feasible only to its tolerance (~1e-9), is
-    clipped along the sorted support into an exactly feasible one, so the
-    value returned is attained by a test function and never exceeds W1.
+    Maximizes sum_i f_i delta_i, delta = a - b on the merged sorted support,
+    over |f_i| <= 1 and |f_{i+1} - f_i| <= h_i, h the support gaps (on the
+    line adjacent increments control every 1-Lipschitz extension).  These
+    constraints form a path, solved exactly by a dynamic program along it:
+    the value V_i(f) of the first i points is concave and piecewise linear on
+    [-1, 1], held as deques of breakpoints on the two sides of its flat top
+    (see _cross).  Backtracking f_i = clip(p_i, f_{i+1} - h_i, f_{i+1} + h_i)
+    from the peaks p_i of V_i gives a feasible maximizer, so the value
+    returned is attained and never exceeds W1.  O(m) for m support points.
     """
     xa, wa = support_and_weights(a)
     xb, wb = support_and_weights(b)
     x = np.concatenate([xa, xb])
     signed = np.concatenate([wa, -wb])
     xs, inv = np.unique(x, return_inverse=True)
-    delta = np.bincount(inv, weights=signed, minlength=xs.size)
-    m = xs.size
-    if m == 1:
-        return float(abs(delta[0]))
-    gaps = np.diff(xs)
-    d = scipy.sparse.diags([-np.ones(m - 1), np.ones(m - 1)], [0, 1],
-                           shape=(m - 1, m), format="csr")
-    a_ub = scipy.sparse.vstack([d, -d], format="csr")
-    b_ub = np.concatenate([gaps, gaps])
-    res = linprog(c=-delta, A_ub=a_ub, b_ub=b_ub, bounds=(-1.0, 1.0),
-                  method="highs")
-    if not res.success:
-        raise RuntimeError(f"bounded-Lipschitz LP failed: {res.message}")
-    f = np.clip(res.x, -1.0, 1.0).tolist()
-    for i, h in enumerate(gaps.tolist()):
-        f[i + 1] = min(max(f[i + 1], f[i] - h), f[i] + h)
-    return max(float(np.dot(f, delta)), 0.0)
+    delta = np.bincount(inv, weights=signed, minlength=xs.size).tolist()
+    gaps = np.diff(xs).tolist()
+    left, right = deque(), deque()
+    shift = 0.0
+    f = []                               # the peaks p_i, then the backtrack
+    for d, h in zip(delta, gaps + [0.0]):
+        if d > 0.0:
+            _cross(right, left, d, shift)
+        elif d < 0.0:
+            _cross(left, right, -d, shift)
+        f.append(-(left[-1][0] + shift) if left else -1.0)
+        shift += h
+        for side in (left, right):
+            while side and side[0][0] + shift >= 1.0:
+                side.popleft()
+    for i in range(len(gaps) - 1, -1, -1):
+        f[i] = min(max(f[i], f[i + 1] - gaps[i]), f[i + 1] + gaps[i])
+    return max(0.0, float(np.dot(f, delta)))
+
+
+def _cross(src, dst, d, shift):
+    """Tilt V up by d > 0 toward src's side: the breakpoints nearest the top
+    cross to dst until d is used up, the last one split, or the wall (an
+    empty side) enters.  A breakpoint (key, slope drop) lies at outward
+    distance key + shift (-position on the left, +position on the right),
+    so the window max over |g - f| <= h adds h to shift, and breakpoints
+    pushed past the wall at 1 drop off the far end of their deque.
+    """
+    while src and src[-1][1] <= d:
+        key, drop = src.pop()
+        dst.append((-key - 2.0 * shift, drop))
+        d -= drop
+    if d > 0.0:
+        key = src[-1][0] if src else 1.0 - shift
+        if src:
+            src[-1] = (key, src[-1][1] - d)
+        dst.append((-key - 2.0 * shift, d))
 
 
 def log_energy_offdiag(m):

@@ -30,6 +30,7 @@ _STEP_TOL = 1e-15              # |dw| <= tol*(1+|w|) declares convergence
 _HUGE = 1e290                  # above this |z|, w*exp(w) can overflow; use log form
 _CUT_MAX_ITER = 50             # a dense sweep of tau over (-1, 1e12] needs at most 6
 _EPS = np.finfo(float).eps
+_TINY = float(np.nextafter(0.0, 1.0))
 
 
 class LambertWError(RuntimeError):
@@ -45,6 +46,8 @@ def _halley(w0, z, keep_upper=False):
     w = np.array(w0, dtype=complex)
     z = np.asarray(z, dtype=complex)
     done = np.zeros(w.shape, dtype=bool)
+    floor = 8.0 * _EPS * np.abs(z)              # rounding level of f
+    last = np.full(w.shape, np.inf)
     for _ in range(_MAX_ITER):
         ew = np.exp(w)
         f = w * ew - z
@@ -60,9 +63,17 @@ def _halley(w0, z, keep_upper=False):
                     break
                 dw = np.where(bad, 0.5 * dw, dw)
         w = w - dw
-        done |= np.abs(dw) <= _STEP_TOL * (1.0 + np.abs(w))
+        step = np.abs(dw)
+        done |= step <= _STEP_TOL * (1.0 + np.abs(w))
+        # near the branch point 1 + w is small and rounding in f keeps the
+        # step above the tolerance, cycling; a step no shorter than the last
+        # with f at its rounding level ends there
+        cycling = ~done & (step >= last)
+        if cycling.any():
+            done[cycling] = np.abs(f[cycling]) <= floor[cycling]
         if done.all():
             return w
+        last = step
     raise LambertWError("Halley iteration for Lambert W did not converge")
 
 
@@ -140,8 +151,11 @@ def lambert_w0_complex(z):
     if refine.any():
         w[refine] = _halley(w[refine], zc[refine])
     # the open upper half-plane maps into the strip 0 < Im w < pi; a stray
-    # convergence to the reflected branch is repaired from a mirrored start
+    # convergence to the reflected branch is repaired from a mirrored start.
+    # Im w underflows to 0 when Im z is near the subnormal range; the
+    # smallest positive double keeps such a w on the side of its branch
     up = zc.imag > 0
+    w.imag[up & (w.imag == 0.0)] = _TINY
     bad = up & ((w.imag <= 0.0) | (w.imag >= np.pi))
     if bad.any():
         w[bad] = _halley(np.conj(w[bad]), zc[bad], keep_upper=True)

@@ -1,10 +1,15 @@
 """CLI dispatch, writers, SVG emission, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import biortho
 from biortho import cli, dh_law, special
 from biortho.gas_sampler import GasConfig, GFunction, Potential, mcmc_sample
 
@@ -263,3 +268,20 @@ def test_verify_single_fast_criterion(capsys):
     assert code == 0
     assert "moment-identity" in out
     assert "PASS" in out
+
+
+def test_runtime_imports_no_scipy():
+    # the runtime needs only numpy; scipy is a test dependency
+    code = ("import importlib, pkgutil, sys, biortho\n"
+            "names = [m.name for m in pkgutil.iter_modules(biortho.__path__)]\n"
+            "for name in names:\n"
+            "    importlib.import_module('biortho.' + name)\n"
+            "print(' '.join(names))\n"
+            "print(' '.join(m for m in sys.modules if m.startswith('scipy')))\n")
+    src = str(Path(biortho.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    names, loaded = (out + "\n").split("\n")[:2]
+    assert "cli" in names.split()
+    assert loaded.split() == []

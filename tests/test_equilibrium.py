@@ -55,6 +55,8 @@ class TestRateI:
         m = GridMeasure([-1.0, 1.0], [0.5, 0.5])
         with pytest.raises(ValueError):
             eq.rate_I(m, dh_cfg())
+        with pytest.raises(ValueError):          # one node, no cell width
+            eq.rate_I(GridMeasure([1.0], [1.0]), id_cfg())
 
 
 class TestGradientAndConvexity:

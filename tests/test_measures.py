@@ -4,12 +4,38 @@ import numpy as np
 import pytest
 from scipy.stats import wasserstein_distance
 
-from biortho import measures as mm
+from biortho import measures as mm, proof_lab
 from biortho.gas_sampler import GasConfig, GFunction, Potential
 
 
 def em(*pts):
     return mm.EmpiricalMeasure(np.asarray(pts, dtype=float))
+
+
+def bl_lp(a, b):
+    """Reference d_BL: the same maximization as a sparse LP (HiGHS), its f
+    clipped to [-1, 1] and clamped forward along the sorted support, which
+    makes it exactly feasible, the LP's own being so only to ~1e-9."""
+    optimize = pytest.importorskip("scipy.optimize")
+    sparse = pytest.importorskip("scipy.sparse")
+    xa, wa = mm.support_and_weights(a)
+    xb, wb = mm.support_and_weights(b)
+    xs, inv = np.unique(np.concatenate([xa, xb]), return_inverse=True)
+    delta = np.bincount(inv, weights=np.concatenate([wa, -wb]),
+                        minlength=xs.size)
+    if xs.size == 1:
+        return float(abs(delta[0]))
+    gaps = np.diff(xs)
+    d = sparse.diags([-np.ones(xs.size - 1), np.ones(xs.size - 1)], [0, 1],
+                     shape=(xs.size - 1, xs.size), format="csr")
+    res = optimize.linprog(c=-delta, A_ub=sparse.vstack([d, -d], format="csr"),
+                           b_ub=np.concatenate([gaps, gaps]),
+                           bounds=(-1.0, 1.0), method="highs")
+    assert res.success, res.message
+    f = np.clip(res.x, -1.0, 1.0).tolist()
+    for i, h in enumerate(gaps.tolist()):
+        f[i + 1] = min(max(f[i + 1], f[i] - h), f[i] + h)
+    return max(float(np.dot(f, delta)), 0.0)
 
 
 @pytest.fixture
@@ -111,6 +137,28 @@ class TestBoundedLipschitz:
             for dist in (mm.bl_distance, mm.w1_distance):
                 assert dist(a, b) == pytest.approx(dist(b, a), abs=1e-10)
                 assert dist(a, c) <= dist(a, b) + dist(b, c) + 1e-10
+
+    def test_matches_lp(self, rng):
+        for k in range(240):
+            scale = 10.0 ** rng.uniform(-3.0, np.log10(30.0))
+            xa = rng.random(rng.integers(1, 30)) * scale
+            xb = rng.random(rng.integers(1, 30)) * scale
+            if k % 3 == 0:                      # shared atoms
+                xb = np.concatenate([xb, xa[: rng.integers(1, xa.size + 1)]])
+            a = mm.EmpiricalMeasure(xa)
+            if k % 2:
+                nodes = np.unique(xa)
+                a = mm.GridMeasure(nodes, rng.dirichlet(np.ones(nodes.size)))
+            b = mm.EmpiricalMeasure(xb)
+            assert abs(mm.bl_distance(a, b) - bl_lp(a, b)) <= 1e-12
+
+    def test_criterion_7_configuration_matches_lp(self):
+        sigma = proof_lab.uniform_nice(1.0, 2.0)
+        grid = proof_lab.build_quantile_grid(sigma, 100)
+        m = 10_000
+        a = mm.EmpiricalMeasure(0.5 * (grid.c + grid.d))
+        b = mm.EmpiricalMeasure(sigma.quantile((np.arange(m) + 0.5) / m))
+        assert abs(mm.bl_distance(a, b) - bl_lp(a, b)) <= 1e-12
 
 
 class TestEnergies:

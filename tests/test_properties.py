@@ -1,12 +1,13 @@
-"""Property tests: the Lambert W cut identity, the DH quantile's round trip
-and order, the W1 metric axioms and d_BL <= W1 on small empirical measures.
-Skipped when hypothesis is not installed."""
+"""Property tests: the Lambert W round trip off the cut and its cut
+identity, the DH quantile's round trip and order, the W1 metric axioms and
+d_BL <= W1 on small empirical measures.  Skipped when hypothesis is not
+installed."""
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from biortho import dh_law, special  # noqa: E402
 from biortho.measures import EmpiricalMeasure, bl_distance, w1_distance  # noqa: E402
@@ -19,6 +20,20 @@ MEASURES = st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=1,
 @pytest.fixture(scope="module")
 def law():
     return dh_law.default_law()
+
+
+@settings(deadline=None)
+@given(st.floats(min_value=-8.0, max_value=12.0),
+       st.floats(min_value=-np.pi, max_value=np.pi))
+@example(0.0, 5e-324)                   # z = 1 + 5e-324j: Im w underflows
+@example(-0.43489873067477985, np.pi)   # z near -1/e, where 1 + w is small
+def test_lambert_round_trip(log10_r, angle):
+    z = 10.0 ** log10_r * complex(np.cos(angle), np.sin(angle))
+    assume(not (z.imag == 0.0 and z.real < special.BRANCH_POINT))
+    w = special.lambert_w0_complex(z)
+    assert abs(w * np.exp(w) - z) <= 1e-12 * abs(z)
+    if z.imag > 0.0:
+        assert 0.0 < w.imag < np.pi
 
 
 @settings(deadline=None)
@@ -55,6 +70,6 @@ def test_w1_metric_axioms(a, b, c):
 
 @settings(deadline=None)
 @given(MEASURES, MEASURES)
-@example(EmpiricalMeasure([0.0]), EmpiricalMeasure([1.999999999]))   # LP returned 2.0
+@example(EmpiricalMeasure([0.0]), EmpiricalMeasure([1.999999999]))   # W1 just below 2
 def test_bl_below_w1(a, b):
     assert bl_distance(a, b) <= w1_distance(a, b) + 1e-12

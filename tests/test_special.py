@@ -50,6 +50,13 @@ class TestReal:
         res = np.abs(w * np.exp(w) - x) / np.maximum(1.0, np.abs(x))
         assert res.max() <= 1e-12
 
+    def test_near_branch_point(self):
+        # 1 + w is small here, and rounding in the residual can keep the
+        # Halley step cycling just above its tolerance
+        x = special.BRANCH_POINT + np.geomspace(1e-16, 1e-2, 400)
+        w = special.lambert_w0_real(x)
+        assert np.max(np.abs(w * np.exp(w) - x)) <= 1e-12
+
     def test_monotone(self):
         x = np.unique(np.concatenate([
             np.linspace(special.BRANCH_POINT, 5.0, 5000),
