@@ -237,7 +237,12 @@ def _log_cell_antideriv(u):
 def nice_energy(sigma, g=None, n0=256, tol=1e-6, max_doublings=4):
     """Logarithmic energy of sigma (or of g_* sigma) by equal-mass-cell
     quadrature with the log kernel integrated exactly per cell pair;
-    cell count doubles until two resolutions agree to tol."""
+    cell count doubles until two resolutions agree to tol.
+
+    Raises RuntimeError when max_doublings doublings leave no two
+    resolutions within tol.  With max_doublings=0 nothing is compared, and
+    the value at n0 cells is returned unchecked.
+    """
     prev = None
     n = n0
     for _ in range(max_doublings + 1):
@@ -256,4 +261,7 @@ def nice_energy(sigma, g=None, n0=256, tol=1e-6, max_doublings=4):
             return val
         prev = val
         n *= 2
+    if max_doublings > 0:
+        raise RuntimeError(f"nice_energy: {max_doublings} doublings from "
+                           f"n0={n0} did not meet tol={tol:g}")
     return prev

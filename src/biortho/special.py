@@ -186,9 +186,8 @@ def lambert_w0_cut_above(x):
 def lambert_w0_cut_above_log(tau):
     """Cut boundary value of W0 at x = -exp(tau), parametrized by tau = log|x|.
 
-    Stable for tau far beyond float overflow of |x| itself (tau up to ~1e12),
-    which is what integrating the 1/(x log^2 x)-type spectral singularity at
-    the origin requires.  Requires tau > -1 (i.e. |x| > 1/e).
+    Stable for tau far beyond float overflow of |x| itself (tau up to ~1e12).
+    Requires tau > -1 (i.e. |x| > 1/e).
 
     On the cut the root satisfies w = -v*cot(v) + i*v for a unique
     v in (0, pi), and log|x| = log(v) - log(sin v) - v*cot(v) is strictly

@@ -183,6 +183,12 @@ class TestNiceEnergy:
         pushed = pl.nice_energy(uniform12, GFunction("identity"))
         assert plain == pytest.approx(pushed, abs=1e-12)
 
+    def test_unmet_tol_raises(self, dh_trunc):
+        with pytest.raises(RuntimeError):
+            pl.nice_energy(dh_trunc, tol=1e-30, max_doublings=1)
+        # nothing to compare: one resolution, returned unchecked
+        assert np.isfinite(pl.nice_energy(dh_trunc, tol=1e-30, max_doublings=0))
+
     def test_uniform_constructor_validation(self):
         with pytest.raises(ValueError):
             pl.uniform_nice(2.0, 1.0)
