@@ -207,10 +207,8 @@ def _support_endpoint(mu):
 def _antideriv(u):
     """G(u) = u log|u| - u with G(0) = 0, so that the exact cell integral is
     int_a^b log|x-y| dy = G(b-x) - G(a-x), finite for x inside [a, b]."""
-    out = np.zeros_like(u)
-    nz = u != 0
-    out[nz] = u[nz] * np.log(np.abs(u[nz])) - u[nz]
-    return out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(u != 0, u * np.log(np.abs(u)) - u, 0.0)
 
 
 def _cell_edges(nodes, widths):

@@ -135,13 +135,33 @@ class RatioStats:
     fraction_g: float
 
 
+_PAIR_BLOCK = 1 << 17    # values per block of rows: 1 MB of float64
+
+
+def _lower_pairs(block, n):
+    """All pairs i < j of an n x n pair quantity, in the row-major order of
+    m[np.tri(n, k=-1, dtype=bool)].  block(j0, j1) gives rows j0 <= j < j1
+    over columns i < j1; rows go in blocks of about _PAIR_BLOCK values, so
+    each block stays in cache and no n x n array is made."""
+    out = np.empty(n * (n - 1) // 2)
+    rows = max(1, _PAIR_BLOCK // n)
+    start = 0
+    for j0 in range(0, n, rows):
+        j1 = min(j0 + rows, n)
+        vals = block(j0, j1)[np.tri(j1 - j0, j1, k=j0 - 1, dtype=bool)]
+        out[start:start + vals.size] = vals
+        start += vals.size
+    return out
+
+
 def _pair_ratio_matrix(a, c, d):
-    n = c.size
-    numer = a[1:][:, None] - a[:-1][None, :]     # a_j - a_{i-1}, rows j, cols i
-    denom = d[:, None] - c[None, :]              # d_j - c_i
-    jj, ii = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    mask = jj > ii                               # pairs i < j
-    return numer[mask] / denom[mask]
+    """(a_j - a_{i-1})/(d_j - c_i) over pairs i < j, in _lower_pairs order."""
+    def block(j0, j1):
+        numer = a[j0 + 1:j1 + 1, None] - a[None, :j1]
+        numer /= d[j0:j1, None] - c[None, :j1]
+        return numer
+
+    return _lower_pairs(block, c.size)
 
 
 def ratio_statistics(grid, g, eps):
@@ -180,10 +200,10 @@ def energy_gap(grid, g, e_half, e_half_g):
     n = grid.n
 
     def riemann(c, d):
-        diff = d[:, None] - c[None, :]
-        jj, ii = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        vals = -np.log(diff[jj > ii])
-        return float(vals.sum() / n ** 2)
+        vals = _lower_pairs(lambda j0, j1: d[j0:j1, None] - c[None, :j1], n)
+        np.log(vals, out=vals)
+        # the pairwise sum is symmetric under sign, so -sum(log) is sum(-log)
+        return float(-vals.sum() / n ** 2)
 
     s = riemann(grid.c, grid.d)
     sg = riemann(np.asarray(g(grid.c), dtype=float),
@@ -228,10 +248,8 @@ def box_mass_log_rate(grid, b=1.0, v=None):
 
 def _log_cell_antideriv(u):
     """F with F'' = log|u|: F(u) = u^2 (2 log|u| - 3)/4, F(0) = 0."""
-    out = np.zeros_like(u)
-    nz = u != 0
-    out[nz] = 0.25 * u[nz] ** 2 * (2.0 * np.log(np.abs(u[nz])) - 3.0)
-    return out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(u != 0, 0.25 * u ** 2 * (2.0 * np.log(np.abs(u)) - 3.0), 0.0)
 
 
 def nice_energy(sigma, g=None, n0=256, tol=1e-6, max_doublings=4):

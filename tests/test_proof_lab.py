@@ -116,6 +116,48 @@ class TestRatioStatistics:
         assert stats.a_max_g <= bound * (1 + 1e-9)
 
 
+class TestParity:
+    # Values recorded before the pair passes were blocked, with numpy 2.4.6
+    # on an x86-64 Xeon (AVX-512 dispatch).  numpy's log may differ in the
+    # last bit on another SIMD target, so a mismatch on a different CPU or
+    # numpy build need not mean a change in the pair passes.
+    PARITY_PINS = {
+        "uniform": ((1.0, 2.0), 1000, "identity",
+                    ["0x1.8000000000000p+0", "0x1.8000000000000p+0",
+                     "0x1.f95d91ab8e8eap-1", "0x1.f95d91ab8e8eap-1"],
+                    ["0x1.7cb1e9782e6efp-1", "0x1.7cb1e9782e6efp-1"]),
+        "dh": ((0.1,), 100, "log",
+               ["0x1.800000000001bp+0", "0x1.801648bf9f139p+0",
+                "0x1.bf7ced916872bp-1", "0x1.bf7ced916872bp-1"],
+               ["0x1.7f5cdea5fbf54p-2", "0x1.4098d3e06c064p-3"]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PARITY_PINS))
+    def test_parity_pin(self, name):
+        args, n, g, ratios, sums = self.PARITY_PINS[name]
+        sigma = pl.uniform_nice(*args) if name == "uniform" else pl.truncated_dh(*args)
+        grid = pl.build_quantile_grid(sigma, n)
+        stats = pl.ratio_statistics(grid, GFunction(g), 0.1)
+        assert [float(v).hex() for v in (stats.a_max, stats.a_max_g,
+                                         stats.fraction, stats.fraction_g)] == ratios
+        gaps = pl.energy_gap(grid, GFunction(g), 0.0, 0.0)
+        assert [gaps.riemann_sum.hex(), gaps.riemann_sum_g.hex()] == sums
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 6, 17])
+    def test_blocks_match_full_gather(self, monkeypatch, n):
+        # five rows per block: one ragged block (n = 2, 3), exactly one
+        # block (5), a one-row remainder (6), three blocks and two rows (17)
+        rows = 5
+        monkeypatch.setattr(pl, "_PAIR_BLOCK", rows * n)
+        rng = np.random.default_rng(n)
+        a = np.cumsum(rng.uniform(0.5, 2.0, n + 1))
+        gap = np.diff(a)
+        c, d = a[:-1] + gap / 3.0, a[1:] - gap / 3.0
+        full = (a[1:][:, None] - a[:-1][None, :]) / (d[:, None] - c[None, :])
+        assert np.array_equal(pl._pair_ratio_matrix(a, c, d),
+                              full[np.tri(n, k=-1, dtype=bool)])
+
+
 class TestEnergyGap:
     def test_uniform_riemann_sum(self, uniform12):
         grid = pl.build_quantile_grid(uniform12, 1000)

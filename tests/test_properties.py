@@ -1,7 +1,7 @@
 """Property tests: the Lambert W round trip off the cut and its cut
-identity, the DH quantile's round trip and order, the W1 metric axioms and
-d_BL <= W1 on small empirical measures.  Skipped when hypothesis is not
-installed."""
+identity, the DH quantile's round trip and order, the W1 metric axioms,
+d_BL <= W1 on small empirical measures, and the proof-lab Riemann sums at
+any block size.  Skipped when hypothesis is not installed."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
-from biortho import dh_law, special  # noqa: E402
+from biortho import dh_law, proof_lab, special  # noqa: E402
+from biortho.gas_sampler import GFunction  # noqa: E402
 from biortho.measures import EmpiricalMeasure, bl_distance, w1_distance  # noqa: E402
 
 LEVELS = st.floats(min_value=2e-3, max_value=1.0 - 1e-9)
@@ -73,3 +74,22 @@ def test_w1_metric_axioms(a, b, c):
 @example(EmpiricalMeasure([0.0]), EmpiricalMeasure([1.999999999]))   # W1 just below 2
 def test_bl_below_w1(a, b):
     assert bl_distance(a, b) <= w1_distance(a, b) + 1e-12
+
+
+@settings(deadline=None)
+@given(st.lists(st.floats(min_value=1e-3, max_value=10.0), min_size=3, max_size=60),
+       st.integers(min_value=1, max_value=200))
+def test_riemann_sum_block_invariant(widths, pair_block):
+    # any block size gives the bits of the one-shot n x n gather
+    a = 1.0 + np.cumsum(widths)
+    gap = np.diff(a)
+    grid = proof_lab.QuantileGrid(a=a, c=a[:-1] + gap / 3.0, d=a[1:] - gap / 3.0)
+    n = grid.n
+    full = -np.log((grid.d[:, None] - grid.c[None, :])[np.tri(n, k=-1, dtype=bool)])
+    old = proof_lab._PAIR_BLOCK
+    proof_lab._PAIR_BLOCK = pair_block
+    try:
+        s = proof_lab.energy_gap(grid, GFunction("identity"), 0.0, 0.0).riemann_sum
+    finally:
+        proof_lab._PAIR_BLOCK = old
+    assert s == float(full.sum() / n ** 2)
