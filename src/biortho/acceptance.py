@@ -170,19 +170,14 @@ def criterion_7_proof_lab():
     of 0.75, configuration BL <= 1/n + 2e-4."""
     sigma = proof_lab.uniform_nice(1.0, 2.0)
     gid = GFunction("identity")
-    fractions = []
-    for n in (100, 300, 1000):
-        grid = proof_lab.build_quantile_grid(sigma, n)
-        stats = proof_lab.ratio_statistics(grid, gid, 0.1)
-        fractions.append(stats.fraction)
-    grid1000 = proof_lab.build_quantile_grid(sigma, 1000)
-    ok_sp, worst = proof_lab.check_spacing_bounds(grid1000, 1.0)
-    stats1000 = proof_lab.ratio_statistics(grid1000, gid, 0.1)
-    a_max_err = abs(stats1000.a_max - 1.5)
-    gaps = proof_lab.energy_gap(grid1000, gid, 0.75, 0.75)
+    grids = {n: proof_lab.build_quantile_grid(sigma, n) for n in (100, 300, 1000)}
+    stats = {n: proof_lab.ratio_statistics(grid, gid, 0.1) for n, grid in grids.items()}
+    fractions = [s.fraction for s in stats.values()]
+    ok_sp, worst = proof_lab.check_spacing_bounds(grids[1000], 1.0)
+    a_max_err = abs(stats[1000].a_max - 1.5)
+    gaps = proof_lab.energy_gap(grids[1000], gid, 0.75, 0.75)
     riemann_err = abs(gaps.riemann_sum - 0.75)
-    grid100 = proof_lab.build_quantile_grid(sigma, 100)
-    bl_val = proof_lab.configuration_bl_check(grid100, sigma, m=10_000)
+    bl_val = proof_lab.configuration_bl_check(grids[100], sigma, m=10_000)
     bl_bound = 1.0 / 100 + 2e-4
     nondecr = all(fractions[k] <= fractions[k + 1] + 1e-15 for k in range(2))
     ok = (ok_sp and a_max_err <= 1e-9 and fractions[-1] >= 0.95 and nondecr

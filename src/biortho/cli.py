@@ -12,7 +12,6 @@ byte-identical for identical inputs.
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,21 +21,6 @@ from .gas_sampler import GasConfig, GFunction, Potential, mcmc_sample
 
 def _g17(v):
     return f"{float(v):.17g}"
-
-
-@dataclass
-class RunConfig:
-    """Serialized invocation; JSON reports embed it for reproducibility."""
-
-    subcommand: str
-    params: dict
-    out: str = ""
-    seed: int = 0
-    plot: str = ""
-
-    def to_dict(self):
-        return {"subcommand": self.subcommand, "params": self.params,
-                "out": self.out, "seed": self.seed, "plot": self.plot}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,33 +50,21 @@ _SVG_W, _SVG_H = 640, 420
 _MARGIN = dict(left=62, right=16, top=34, bottom=44)
 
 
-def _ticks(lo, hi, n=5):
-    if hi <= lo:
-        hi = lo + 1.0
-    raw = np.linspace(lo, hi, n)
-    return raw
-
-
-def emit_svg(histogram=None, curve=None, overlay=None, title=""):
-    """Standalone SVG: optional histogram (edges, heights), optional curve
-    and overlay polylines (x, y).  Deterministic byte output for identical
-    input; exactly one <path> element per curve series."""
-    if histogram is None and curve is None:
-        raise ValueError("nothing to plot")
-    xs, ys = [], []
-    if histogram is not None:
-        edges, heights = (np.asarray(a, dtype=float) for a in histogram)
-        if edges.size < 2 or heights.size != edges.size - 1:
-            raise ValueError("histogram needs edges (m+1) and heights (m)")
-        xs += [edges.min(), edges.max()]
-        ys += [0.0, float(heights.max())]
-    for series in (curve, overlay):
-        if series is not None:
-            sx, sy = (np.asarray(a, dtype=float) for a in series)
-            if sx.size == 0:
-                raise ValueError("empty curve")
-            xs += [float(sx.min()), float(sx.max())]
-            ys += [float(min(sy.min(), 0.0)), float(sy.max())]
+def emit_svg(histogram, overlay=None, title=""):
+    """Standalone SVG: a histogram (edges, heights) and an optional overlay
+    polyline (x, y).  Deterministic byte output for identical input; the
+    overlay is the only <path> element."""
+    edges, heights = (np.asarray(a, dtype=float) for a in histogram)
+    if edges.size < 2 or heights.size != edges.size - 1:
+        raise ValueError("histogram needs edges (m+1) and heights (m)")
+    xs = [edges.min(), edges.max()]
+    ys = [0.0, float(heights.max())]
+    if overlay is not None:
+        ox, oy = (np.asarray(a, dtype=float) for a in overlay)
+        if ox.size == 0:
+            raise ValueError("empty overlay")
+        xs += [float(ox.min()), float(ox.max())]
+        ys += [float(min(oy.min(), 0.0)), float(oy.max())]
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     if x1 <= x0:
@@ -120,35 +92,29 @@ def emit_svg(histogram=None, curve=None, overlay=None, title=""):
                f'y2="{ax_y}" stroke="black" stroke-width="1"/>')
     out.append(f'<line x1="{_MARGIN["left"]}" y1="{_MARGIN["top"]}" '
                f'x2="{_MARGIN["left"]}" y2="{ax_y}" stroke="black" stroke-width="1"/>')
-    for tv in _ticks(x0, x1):
+    for tv in np.linspace(x0, x1, 5):
         px = sx(tv)
         out.append(f'<line x1="{px:.2f}" y1="{ax_y}" x2="{px:.2f}" y2="{ax_y + 5}" '
                    'stroke="black" stroke-width="1"/>')
         out.append(f'<text x="{px:.2f}" y="{ax_y + 18}" text-anchor="middle" '
                    f'font-family="sans-serif" font-size="11">{tv:.4g}</text>')
-    for tv in _ticks(y0, y1):
+    for tv in np.linspace(y0, y1, 5):
         py = sy(tv)
         out.append(f'<line x1="{_MARGIN["left"] - 5}" y1="{py:.2f}" '
                    f'x2="{_MARGIN["left"]}" y2="{py:.2f}" stroke="black" stroke-width="1"/>')
         out.append(f'<text x="{_MARGIN["left"] - 8}" y="{py + 4:.2f}" text-anchor="end" '
                    f'font-family="sans-serif" font-size="11">{tv:.4g}</text>')
-    if histogram is not None:
-        edges, heights = (np.asarray(a, dtype=float) for a in histogram)
-        for k in range(heights.size):
-            hx0, hx1 = sx(edges[k]), sx(edges[k + 1])
-            hy = sy(heights[k])
-            out.append(f'<rect x="{hx0:.3f}" y="{hy:.3f}" width="{hx1 - hx0:.3f}" '
-                       f'height="{sy(0.0) - hy:.3f}" fill="#7696c4" '
-                       'fill-opacity="0.75" stroke="none"/>')
-    for series, color, dash in ((curve, "#b03030", ""),
-                                (overlay, "#208040", ' stroke-dasharray="6,3"')):
-        if series is None:
-            continue
-        px, py = (np.asarray(a, dtype=float) for a in series)
-        coords = [f"{sx(px[0]):.3f} {sy(py[0]):.3f}"]
-        coords += [f"L {sx(a):.3f} {sy(b):.3f}" for a, b in zip(px[1:], py[1:])]
+    for k in range(heights.size):
+        hx0, hx1 = sx(edges[k]), sx(edges[k + 1])
+        hy = sy(heights[k])
+        out.append(f'<rect x="{hx0:.3f}" y="{hy:.3f}" width="{hx1 - hx0:.3f}" '
+                   f'height="{sy(0.0) - hy:.3f}" fill="#7696c4" '
+                   'fill-opacity="0.75" stroke="none"/>')
+    if overlay is not None:
+        coords = [f"{sx(ox[0]):.3f} {sy(oy[0]):.3f}"]
+        coords += [f"L {sx(a):.3f} {sy(b):.3f}" for a, b in zip(ox[1:], oy[1:])]
         out.append(f'<path d="M {" ".join(coords)}" fill="none" '
-                   f'stroke="{color}" stroke-width="1.5"{dash}/>')
+                   'stroke="#208040" stroke-width="1.5" stroke-dasharray="6,3"/>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
@@ -229,51 +195,47 @@ def _cmd_sample_gas(args):
     return 0
 
 
-def _grid_from_args(args):
+def _solve(args):
+    """(cfg, report): the rate-functional solve the shared solver flags ask
+    for."""
+    cfg = GasConfig(n=max(args.grid, 2), g=GFunction.parse(args.g),
+                    v=Potential.parse(args.V), b=args.b)
     lo, hi = _parse_domain(args.domain)
-    return equilibrium.make_grid(args.grid, lo, hi)
+    report = equilibrium.minimize_I(cfg, equilibrium.make_grid(args.grid, lo, hi),
+                                    tol=args.tol, max_iter=args.max_iter)
+    return cfg, report
+
+
+def _run_config(args, **params):
+    """The invocation as JSON reports embed it: the solver flags, the
+    subcommand's own parameters and the output path given."""
+    return {"subcommand": args.cmd, "out": args.out,
+            "params": {"g": args.g, "V": args.V, "b": args.b, "grid": args.grid,
+                       "domain": args.domain, "tol": args.tol,
+                       "max_iter": args.max_iter, **params}}
 
 
 def _cmd_equilibrium(args):
-    cfg = GasConfig(n=max(args.grid, 2), g=GFunction.parse(args.g),
-                    v=Potential.parse(args.V), b=args.b)
-    grid = _grid_from_args(args)
-    report = equilibrium.minimize_I(cfg, grid, tol=args.tol,
-                                    max_iter=args.max_iter)
-    run = RunConfig("equilibrium",
-                    {"g": args.g, "V": args.V, "b": args.b, "grid": args.grid,
-                     "domain": args.domain, "tol": args.tol,
-                     "max_iter": args.max_iter})
+    _, report = _solve(args)
     payload = report.to_dict()
-    payload["run_config"] = run.to_dict()
+    payload["run_config"] = {**_run_config(args), "plot": args.plot}
     _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"objective {report.objective:.9g}  kkt {report.kkt_residual:.3g}  "
           f"b_eq {report.b_eq:.6g}  converged {report.converged}")
     if args.plot:
-        mu = report.minimizer
-        from .measures import voronoi_cell_widths
-        widths = voronoi_cell_widths(mu.nodes)
-        edges = equilibrium._cell_edges(mu.nodes, widths)
-        heights = mu.weights / widths
         overlay = None
         if args.overlay_dh:
             xs = np.linspace(1e-3, float(np.e), 300)
             overlay = (xs, dh_law.dh_density(xs))
-        svg = emit_svg(histogram=(edges, heights), overlay=overlay,
+        svg = emit_svg(equilibrium.cell_density(report.minimizer), overlay=overlay,
                        title="equilibrium weight density")
         _write_text(args.plot, svg)
         print(f"plot written to {args.plot}")
-    if not report.converged:
-        return 2
-    return 0
+    return 0 if report.converged else 2
 
 
 def _cmd_rate_largest(args):
-    cfg = GasConfig(n=max(args.grid, 2), g=GFunction.parse(args.g),
-                    v=Potential.parse(args.V), b=args.b)
-    grid = _grid_from_args(args)
-    report = equilibrium.minimize_I(cfg, grid, tol=args.tol,
-                                    max_iter=args.max_iter)
+    cfg, report = _solve(args)
     x_hi = args.x_max if args.x_max is not None else 3.0 * report.b_eq
     xs = np.linspace(report.b_eq, x_hi, args.points)
     js = equilibrium.rate_J_largest(xs, report.minimizer, cfg)
@@ -283,10 +245,7 @@ def _cmd_rate_largest(args):
         "objective": report.objective,
         "x": xs.tolist(),
         "j": [float(v) for v in js],
-        "run_config": RunConfig("rate-largest",
-                                {"g": args.g, "V": args.V, "b": args.b,
-                                 "grid": args.grid, "domain": args.domain,
-                                 "x_max": x_hi, "points": args.points}).to_dict(),
+        "run_config": _run_config(args, x_max=x_hi, points=args.points),
     }
     _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"b_eq {report.b_eq:.6g}  kappa {report.kappa:.6g}  "
@@ -366,12 +325,27 @@ def _write_text(path, text):
 
 # ----------------------------------------------------------------------
 
+def _solver_flags(tol):
+    """Parent parser of the flags _solve reads; one per subcommand, since
+    the tol default differs and argparse shares a parent's actions with
+    every child."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--g", default="log")
+    p.add_argument("--V", default="linear:1")
+    p.add_argument("--b", type=float, default=1.0)
+    p.add_argument("--grid", type=int, default=400)
+    p.add_argument("--domain", default="1e-4,4")
+    p.add_argument("--tol", type=float, default=tol)
+    p.add_argument("--max-iter", type=int, default=200000)
+    return p
+
+
 def build_parser():
     p = _Parser(prog="biortho",
                 description="numerical laboratory for biorthogonal ensembles")
     sub = p.add_subparsers(dest="cmd")
 
-    s = sub.add_parser("lambertw", parents=[], description="principal Lambert W")
+    s = sub.add_parser("lambertw", description="principal Lambert W")
     s.add_argument("--z", required=True, help="argument RE,IM")
 
     s = sub.add_parser("dh", description="Dykema-Haagerup law evaluations")
@@ -403,26 +377,14 @@ def build_parser():
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True)
 
-    s = sub.add_parser("equilibrium", description="rate-functional minimizer")
-    s.add_argument("--g", default="log")
-    s.add_argument("--V", default="linear:1")
-    s.add_argument("--b", type=float, default=1.0)
-    s.add_argument("--grid", type=int, default=400)
-    s.add_argument("--domain", default="1e-4,4")
-    s.add_argument("--tol", type=float, default=1e-6)
-    s.add_argument("--max-iter", type=int, default=200000)
+    s = sub.add_parser("equilibrium", parents=[_solver_flags(tol=1e-6)],
+                       description="rate-functional minimizer")
     s.add_argument("--out", required=True)
     s.add_argument("--plot", default="")
     s.add_argument("--overlay-dh", action="store_true")
 
-    s = sub.add_parser("rate-largest", description="largest-particle rate function")
-    s.add_argument("--g", default="log")
-    s.add_argument("--V", default="linear:1")
-    s.add_argument("--b", type=float, default=1.0)
-    s.add_argument("--grid", type=int, default=400)
-    s.add_argument("--domain", default="1e-4,4")
-    s.add_argument("--tol", type=float, default=1e-4)
-    s.add_argument("--max-iter", type=int, default=200000)
+    s = sub.add_parser("rate-largest", parents=[_solver_flags(tol=1e-4)],
+                       description="largest-particle rate function")
     s.add_argument("--x-max", type=float, default=None)
     s.add_argument("--points", type=int, default=20)
     s.add_argument("--out", required=True)

@@ -8,12 +8,10 @@ empirical spectral measure of S/n = T T*/n is the object of interest; at
 theta=0, b=1 all nonzero entries are i.i.d. standard complex Gaussians.
 
 Randomness comes from counter-based Philox streams keyed by (seed, trial),
-so Monte Carlo trials are reproducible and embarrassingly parallel with no
-coordination.
+so each trial is reproducible on its own, whatever trials run before it.
+Trials run one after another; BLAS threads each SVD.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,14 +44,6 @@ def rng_stream(seed, stream=0):
     """Philox generator keyed by (seed, stream); streams are independent."""
     return np.random.Generator(
         np.random.Philox(key=[int(seed) & _MASK64, int(stream) & _MASK64]))
-
-
-def thread_count():
-    """Worker cap for parallel trials: BIORTHO_THREADS or machine count."""
-    env = os.environ.get("BIORTHO_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
-    return os.cpu_count() or 1
 
 
 def sample_triangular(params, trial=0):
@@ -96,11 +86,6 @@ def largest_particle(m):
     return float(m.points[-1])
 
 
-def sample_spectra(params, trials, max_workers=None):
-    """Spectra for trials 0..trials-1, in trial order, run on a thread pool
-    (the eigensolver releases the GIL)."""
-    workers = max_workers or thread_count()
-    if workers == 1 or trials == 1:
-        return [sample_spectrum(params, k) for k in range(trials)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda k: sample_spectrum(params, k), range(trials)))
+def sample_spectra(params, trials):
+    """Spectra for trials 0..trials-1, in trial order."""
+    return [sample_spectrum(params, k) for k in range(trials)]

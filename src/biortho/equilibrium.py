@@ -41,7 +41,7 @@ import numpy as np
 # log_energy_grid is unused here but stays importable under this module,
 # where perfbench/spans.py traces it
 from .measures import (GridMeasure, energy_kernel, log_energy_grid,  # noqa: F401
-                       log_energy_offdiag, pushforward, voronoi_cell_widths)
+                       log_energy_offdiag, pushforward)
 
 
 @dataclass
@@ -74,50 +74,41 @@ class SolverReport:
         }
 
 
-def make_grid(n, lo, hi, geo_until=0.1, geo_fraction=0.25):
-    """Solver grid: geometric spacing from lo up to geo_until (resolving the
-    1/(x log^2 x)-type blow-up near 0), uniform spacing beyond."""
+_GEO_UNTIL = 0.1     # make_grid spaces nodes geometrically below this
+
+
+def make_grid(n, lo, hi, geo_fraction=0.25):
+    """Solver grid: geo_fraction of the nodes spaced geometrically from lo up
+    to 0.1 (resolving the 1/(x log^2 x)-type blow-up near 0), uniform
+    spacing beyond."""
     if not (0 < lo < hi):
         raise ValueError("need 0 < lo < hi")
     n = int(n)
     if n < 2:
         raise ValueError("need at least two nodes")
-    if lo >= geo_until or geo_fraction <= 0:
+    if lo >= _GEO_UNTIL or geo_fraction <= 0:
         return np.linspace(lo, hi, n)
-    split = min(geo_until, hi / 2)
+    split = min(_GEO_UNTIL, hi / 2)
     n_geo = max(2, int(n * geo_fraction))
     geo = np.geomspace(lo, split, n_geo, endpoint=False)
     uni = np.linspace(split, hi, n - n_geo)
     return np.concatenate([geo, uni])
 
 
-def _pushed_widths(nodes, cell_widths, g):
-    """Cell widths for the image grid: Voronoi widths of g(nodes) when there
-    are neighbours, mapped cell endpoints for a single node."""
-    gn = np.asarray(g(nodes), dtype=float)
-    if nodes.size >= 2:
-        return gn, voronoi_cell_widths(gn)
-    h = cell_widths[0]
-    lo, hi = nodes[0] - 0.5 * h, nodes[0] + 0.5 * h
-    return gn, np.array([float(g(hi) - g(lo))])
-
-
-def rate_I(m, cfg, cell_widths=None):
+def rate_I(m, cfg):
     """Discretized rate functional at a grid measure, w'Mw/2 + v'w."""
-    mat, vv = _quadratic_model(m.nodes, cfg, cell_widths)
+    mat, vv = _quadratic_model(m.nodes, cfg)
     return 0.5 * float(m.weights @ mat @ m.weights) + float(vv @ m.weights)
 
 
-def _quadratic_model(nodes, cfg, cell_widths=None):
-    """(M, v) with objective w'Mw/2 + v'w and gradient Mw + v.  Cell widths
-    default to the Voronoi widths, which need at least two nodes."""
+def _quadratic_model(nodes, cfg):
+    """(M, v) with objective w'Mw/2 + v'w and gradient Mw + v; the kernels
+    take Voronoi cell widths of the nodes and of their images, which need at
+    least two nodes."""
     nodes = np.asarray(nodes, dtype=float)
     if np.any(nodes <= 0) or np.any(np.diff(nodes) <= 0):
         raise ValueError("grid must be strictly increasing in (0, inf)")
-    h = voronoi_cell_widths(nodes) if cell_widths is None else \
-        np.asarray(cell_widths, dtype=float)
-    gn, gw = _pushed_widths(nodes, h, cfg.g)
-    m = energy_kernel(nodes, h) + energy_kernel(gn, gw)
+    m = energy_kernel(nodes) + energy_kernel(np.asarray(cfg.g(nodes), dtype=float))
     return m, np.asarray(cfg.v(nodes), dtype=float)
 
 
@@ -211,10 +202,18 @@ def _antideriv(u):
         return np.where(u != 0, u * np.log(np.abs(u)) - u, 0.0)
 
 
-def _cell_edges(nodes, widths):
+def cell_density(mu):
+    """(edges, density): mu spread uniformly over cells split at the
+    midpoints between nodes, each end cell reaching a quarter of its gap
+    beyond its end node.  Density times cell width is the node weight, so
+    the histogram has area 1."""
+    if mu.n < 2:
+        raise ValueError("cells need >= 2 nodes")
+    nodes = mu.nodes
     mids = 0.5 * (nodes[1:] + nodes[:-1])
-    return np.concatenate([[nodes[0] - 0.5 * widths[0]], mids,
-                           [nodes[-1] + 0.5 * widths[-1]]])
+    edges = np.concatenate([[nodes[0] - 0.5 * (mids[0] - nodes[0])], mids,
+                            [nodes[-1] + 0.5 * (nodes[-1] - mids[-1])]])
+    return edges, mu.weights / np.diff(edges)
 
 
 def _effective_potential(x, mu, cfg):
@@ -222,19 +221,13 @@ def _effective_potential(x, mu, cfg):
     integral taken against mu spread piecewise-uniformly over its cells
     (semi-analytic, finite for x on the support)."""
     x = np.asarray(x, dtype=float)
-    nodes, w = mu.nodes, mu.weights
-    if mu.n >= 2:
-        hx = voronoi_cell_widths(nodes)
-        edges = _cell_edges(nodes, hx)
-    else:
-        raise ValueError("effective potential needs >= 2 nodes")
+    edges, dens_x = cell_density(mu)
     gedges = np.asarray(cfg.g(edges), dtype=float)
     gx = np.asarray(cfg.g(x), dtype=float)
 
     lo, hi = edges[:-1], edges[1:]
     glo, ghi = gedges[:-1], gedges[1:]
-    dens_x = w / (hi - lo)
-    dens_g = w / (ghi - glo)
+    dens_g = mu.weights / (ghi - glo)
 
     lx = ((_antideriv(hi[None, :] - x[:, None])
            - _antideriv(lo[None, :] - x[:, None])) * dens_x[None, :]).sum(axis=1)

@@ -30,6 +30,7 @@ from .measures import EmpiricalMeasure
 _G_KINDS = ("power", "log", "asinh2", "exp", "identity")
 _COINCIDENCE_TOL = 1e-14
 _GROWTH_CHECKPOINTS = (1e2, 1e4, 1e6, 1e8)
+_TARGET_ACCEPT = 0.35        # burn-in adapts step sizes toward this rate
 
 
 @dataclass(frozen=True)
@@ -247,8 +248,7 @@ class McmcDiagnostics:
     trace: Optional[np.ndarray] = None
 
 
-def mcmc_sample(cfg, steps, burn_in, seed, init=None, record_every=0,
-                target_accept=0.35, chains=1):
+def mcmc_sample(cfg, steps, burn_in, seed, record_every=0, chains=1):
     """Single-coordinate Metropolis for the gas, `chains` chains in
     lock-step; returns the final configuration as an EmpiricalMeasure (all
     chains' particles pooled) plus diagnostics.
@@ -259,7 +259,8 @@ def mcmc_sample(cfg, steps, burn_in, seed, init=None, record_every=0,
     landing within 1e-14 of another coordinate are rejected outright.
     record_every > 0 stores every so-many post-burn-in sweeps in the
     diagnostics trace.  Chain c draws from Philox(key=seed + c) and is bit
-    for bit the single-chain run with that seed.
+    for bit the single-chain run with that seed.  Every chain starts from
+    the evenly spaced configuration x_i = 2(i + 1/2)/n, i = 0..n-1.
     """
     if steps < 1 or burn_in < 1:
         raise ValueError("steps and burn_in must be positive")
@@ -274,12 +275,7 @@ def mcmc_sample(cfg, steps, burn_in, seed, init=None, record_every=0,
     n, k = cfg.n, chains
     rngs = [np.random.Generator(np.random.Philox(key=(int(seed) + c) & (2 ** 64 - 1)))
             for c in range(k)]
-    if init is None:
-        x0 = 2.0 * (np.arange(n) + 0.5) / n
-    else:
-        x0 = np.asarray(init, dtype=float).ravel()
-        if x0.size != n or np.any(x0 <= 0):
-            raise ValueError("init must be n positive coordinates")
+    x0 = 2.0 * (np.arange(n) + 0.5) / n
     # state and proposals are ([x, g(x), log x, V(x)], chain, coordinate);
     # each channel is one contiguous (chains, n) block
     state = np.empty((4, k, n))
@@ -328,7 +324,7 @@ def mcmc_sample(cfg, steps, burn_in, seed, init=None, record_every=0,
                 if np.count_nonzero(acc):
                     np.copyto(state[:, :, i], prop[:, :, i], where=acc)
             if sweep < burn_in:
-                log_sig += (sweep + 1.0) ** -0.6 * (accepted - target_accept)
+                log_sig += (sweep + 1.0) ** -0.6 * (accepted - _TARGET_ACCEPT)
                 np.exp(log_sig, out=sig)
             else:
                 accepted_post += accepted

@@ -183,20 +183,18 @@ def voronoi_cell_widths(nodes):
     both ends).  Requires at least two nodes."""
     nodes = np.asarray(nodes, dtype=float)
     if nodes.size < 2:
-        raise ValueError("cell widths need >= 2 nodes (or pass them explicitly)")
+        raise ValueError("cell widths need >= 2 nodes")
     mids = 0.5 * (nodes[1:] + nodes[:-1])
     edges = np.concatenate([[nodes[0]], mids, [nodes[-1]]])
     return np.diff(edges)
 
 
-def energy_kernel(nodes, cell_widths=None):
+def energy_kernel(nodes):
     """Symmetric kernel K with K_ij = -log|x_i - x_j| off the diagonal and
-    the cell self-energy K_ii = -log h_i + 3/2 on it; grid energy is w'Kw."""
+    the cell self-energy K_ii = -log h_i + 3/2 on it, h the Voronoi cell
+    widths; grid energy is w'Kw."""
     nodes = np.asarray(nodes, dtype=float)
-    h = voronoi_cell_widths(nodes) if cell_widths is None else \
-        np.asarray(cell_widths, dtype=float)
-    if h.shape != nodes.shape:
-        raise ValueError("cell_widths must match nodes")
+    h = voronoi_cell_widths(nodes)
     if np.any(h <= 0):
         raise ValueError("cell widths must be positive")
     diff = np.abs(nodes[:, None] - nodes[None, :])
@@ -206,12 +204,9 @@ def energy_kernel(nodes, cell_widths=None):
     return k
 
 
-def log_energy_grid(m, cell_widths=None):
+def log_energy_grid(m):
     """Grid logarithmic energy with diagonal cell self-energy."""
-    if m.n == 1 and cell_widths is None:
-        raise ValueError("single-node energy needs an explicit cell width")
-    k = energy_kernel(m.nodes, cell_widths)
-    return float(m.weights @ k @ m.weights)
+    return float(m.weights @ energy_kernel(m.nodes) @ m.weights)
 
 
 def pair_kernel_f(x, y, cfg):

@@ -58,13 +58,13 @@ def uniform_nice(a, b):
                        label=f"uniform[{a:g},{b:g}]")
 
 
-def truncated_dh(lo, hi=None, law=None):
-    """Dykema-Haagerup law conditioned to [lo, hi] (hi defaults to e - lo)."""
+def truncated_dh(lo, law=None):
+    """Dykema-Haagerup law conditioned to [lo, e - lo]."""
     law = law or dh_law.default_law()
     lo = float(lo)
-    hi = float(np.e - lo) if hi is None else float(hi)
-    if not (0 < lo < hi < np.e):
-        raise ValueError("need 0 < lo < hi < e")
+    hi = float(np.e - lo)
+    if not (0 < lo < hi):
+        raise ValueError("need 0 < lo < e/2")
     f_lo, f_hi = law.cdf(lo), law.cdf(hi)
     mass = f_hi - f_lo
 
@@ -113,11 +113,11 @@ def build_quantile_grid(sigma, n):
     return QuantileGrid(a=a, c=c, d=d)
 
 
-def check_spacing_bounds(grid, big_c, n=None):
+def check_spacing_bounds(grid, big_c):
     """(holds, worst ratio) for 1/(Cn) <= a_{k+1}-a_k <= C/n; the worst
     ratio is how close (or beyond) the tightest gap comes to its bound, so
     the bounds hold exactly when it is <= 1."""
-    n = grid.n if n is None else int(n)
+    n = grid.n
     gaps = np.diff(grid.a)
     upper = gaps * n / big_c
     lower = 1.0 / (big_c * n * gaps)
@@ -226,23 +226,20 @@ def configuration_bl_check(grid, sigma, m=10_000, z=None):
     return bl_distance(EmpiricalMeasure(z), ref)
 
 
-def box_mass_log_rate(grid, b=1.0, v=None):
+def box_mass_log_rate(grid):
     """(1/n^2) * log of the reference-measure mass of the central-thirds box,
-    with reference density x^(b-1) exp(-V(x)) per coordinate.
+    with reference density exp(-x) per coordinate (b = 1, V(x) = x).
 
     The lower-bound argument needs this to vanish as n grows; no rate is
     quantified, so callers should only read the decay trend.  Each factor is
     a one-dimensional integral over [c_k, d_k], done by Gauss-Legendre.
     """
-    if v is None:
-        v = lambda x: x
     n = grid.n
     nodes, weights = np.polynomial.legendre.leggauss(16)
     half = 0.5 * (grid.d - grid.c)
     mid = 0.5 * (grid.d + grid.c)
     x = mid[:, None] + half[:, None] * nodes[None, :]
-    integrand = x ** (b - 1.0) * np.exp(-np.asarray(v(x), dtype=float))
-    cell_mass = (integrand * weights[None, :]).sum(axis=1) * half
+    cell_mass = (np.exp(-x) * weights[None, :]).sum(axis=1) * half
     return float(np.sum(np.log(cell_mass)) / n ** 2)
 
 

@@ -211,6 +211,36 @@ class TestEquilibriumCommand:
         assert payload["converged"] is True
         assert payload["kkt_residual"] <= payload["run_config"]["params"]["tol"]
 
+    def test_run_config_records_outputs(self, tmp_path, capsys):
+        out, plot = tmp_path / "report.json", tmp_path / "P.svg"
+        code, _, _ = run(capsys, "equilibrium", "--grid", "60", "--domain", "1e-3,4",
+                         "--tol", "1e-3", "--out", str(out), "--plot", str(plot))
+        assert code == 0
+        run_config = json.loads(out.read_text())["run_config"]
+        assert run_config["out"] == str(out)
+        assert run_config["plot"] == str(plot)
+        out_j = tmp_path / "j.json"
+        code, _, _ = run(capsys, "rate-largest", "--grid", "60", "--domain", "1e-3,4",
+                         "--out", str(out_j))
+        assert code == 0
+        run_config = json.loads(out_j.read_text())["run_config"]
+        assert run_config["out"] == str(out_j)
+        assert run_config["params"]["tol"] == 1e-4
+
+    def test_plot_bar_areas_sum_to_one(self, tmp_path, capsys, monkeypatch):
+        drawn, emit_svg = [], cli.emit_svg
+
+        def capture(histogram, **kwargs):
+            drawn.append(histogram)
+            return emit_svg(histogram, **kwargs)
+
+        monkeypatch.setattr(cli, "emit_svg", capture)
+        code, _, _ = run(capsys, "equilibrium", "--out", str(tmp_path / "r.json"),
+                         "--plot", str(tmp_path / "p.svg"))
+        assert code == 0
+        edges, heights = drawn[0]
+        assert abs(float(np.sum(heights * np.diff(edges))) - 1.0) <= 1e-12
+
 
 class TestQuantileCheckCommand:
     def test_uniform_json(self, capsys):
@@ -226,7 +256,8 @@ class TestQuantileCheckCommand:
 class TestSvg:
     def test_single_path_for_curve(self):
         xs = np.linspace(0, np.e, 200)
-        svg = cli.emit_svg(curve=(xs, dh_law.dh_density(xs)), title="density")
+        svg = cli.emit_svg((np.linspace(0, np.e, 11), np.ones(10)),
+                           overlay=(xs, dh_law.dh_density(xs)), title="density")
         assert svg.count("<path") == 1
         assert svg.startswith("<svg")
         assert svg.endswith("</svg>\n")
@@ -245,8 +276,9 @@ class TestSvg:
 
     def test_deterministic_bytes(self):
         xs = np.linspace(0, 1, 50)
-        a = cli.emit_svg(curve=(xs, xs ** 2))
-        b = cli.emit_svg(curve=(xs, xs ** 2))
+        edges, heights = np.linspace(0, 1, 6), np.arange(5.0)
+        a = cli.emit_svg((edges, heights), overlay=(xs, xs ** 2))
+        b = cli.emit_svg((edges, heights), overlay=(xs, xs ** 2))
         assert a == b
 
     def test_histogram_only(self):
@@ -258,9 +290,10 @@ class TestSvg:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            cli.emit_svg()
+            cli.emit_svg((np.array([0.0]), np.array([])))
         with pytest.raises(ValueError):
-            cli.emit_svg(curve=(np.array([]), np.array([])))
+            cli.emit_svg((np.linspace(0, 1, 3), np.ones(2)),
+                         overlay=(np.array([]), np.array([])))
 
 
 def test_verify_single_fast_criterion(capsys):

@@ -45,17 +45,19 @@ class TestRateI:
         assert eq.rate_I(m, shifted) == pytest.approx(eq.rate_I(m, base) + 2.5,
                                                       rel=1e-12)
 
-    def test_single_node_hand_value(self):
-        m = GridMeasure([1.0], [1.0])
+    def test_two_node_hand_value(self):
+        # all weight on node 1 of [1, 1 + 2h], whose Voronoi cell has width h;
+        # with identity g the two energy halves coincide
         h = 0.3
-        val = eq.rate_I(m, id_cfg(), cell_widths=[h])
-        assert val == pytest.approx((-np.log(h) + 1.5) + 1.0)
+        m = GridMeasure([1.0, 1.0 + 2.0 * h], [1.0, 0.0])
+        val = eq.rate_I(m, id_cfg())
+        assert val == pytest.approx((-np.log(h) + 1.5) + 1.0, rel=1e-12)
 
     def test_domain(self):
         m = GridMeasure([-1.0, 1.0], [0.5, 0.5])
         with pytest.raises(ValueError):
             eq.rate_I(m, dh_cfg())
-        with pytest.raises(ValueError):          # one node, no cell width
+        with pytest.raises(ValueError):          # one node, no Voronoi width
             eq.rate_I(GridMeasure([1.0], [1.0]), id_cfg())
 
 

@@ -176,11 +176,20 @@ class TestEnergies:
             mm.log_energy_offdiag(em(1.0, 1.0))
 
     def test_grid_single_node(self):
-        g = mm.GridMeasure([1.0], [1.0])
-        for h in (0.1, 0.5, 2.0):
-            assert mm.log_energy_grid(g, [h]) == pytest.approx(-np.log(h) + 1.5)
+        # one node has no neighbour to give it a Voronoi cell width
         with pytest.raises(ValueError):
-            mm.log_energy_grid(g)
+            mm.log_energy_grid(mm.GridMeasure([1.0], [1.0]))
+
+    def test_grid_two_node_hand_value(self):
+        # nodes 1 and 1 + 2h: both Voronoi cells have width h, the pair is 2h apart
+        for h in (0.1, 0.5, 2.0):
+            x = [1.0, 1.0 + 2.0 * h]
+            assert mm.log_energy_grid(mm.GridMeasure(x, [1.0, 0.0])) == \
+                pytest.approx(-np.log(h) + 1.5, rel=1e-12)
+            w1, w2 = 0.3, 0.7
+            expected = (w1 ** 2 + w2 ** 2) * (-np.log(h) + 1.5) - 2 * w1 * w2 * np.log(2 * h)
+            assert mm.log_energy_grid(mm.GridMeasure(x, [w1, w2])) == \
+                pytest.approx(expected, rel=1e-12)
 
     def test_grid_uniform_law(self):
         n = 1000
