@@ -8,6 +8,7 @@ here, nothing is calibrated at run time; the largest-particle interval
 [e - 0.25, e + 0.15] matches the pilot runs documented in the README.
 """
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -17,9 +18,7 @@ import numpy as np
 from . import dh_law, ensemble, equilibrium, proof_lab, special
 from .gas_sampler import GasConfig, GFunction, Potential, mcmc_sample
 from .measures import (EmpiricalMeasure, GridMeasure, pair_kernel_f,
-                       pair_kernel_lower, w1_distance)
-
-_cache = {}
+                       pair_kernel_lower, voronoi_cell_widths, w1_distance)
 
 
 def _dh_config():
@@ -30,41 +29,40 @@ def _id_config():
     return GasConfig(n=2, g=GFunction("identity"), v=Potential.linear(1.0), b=1.0)
 
 
+@functools.cache
 def _dh_discretization(m=2000):
-    key = ("dh_disc", m)
-    if key not in _cache:
-        law = dh_law.default_law()
-        _cache[key] = EmpiricalMeasure(law.quantile((np.arange(m) + 0.5) / m))
-    return _cache[key]
+    law = dh_law.default_law()
+    return EmpiricalMeasure(law.quantile((np.arange(m) + 0.5) / m))
 
 
+@functools.cache
 def _dh_equilibrium():
     """Criterion-5 solve: 400 nodes on [1e-4, 4], tol 1e-4."""
-    if "dh_eq" not in _cache:
-        grid = equilibrium.make_grid(400, 1e-4, 4.0)
-        _cache["dh_eq"] = equilibrium.minimize_I(_dh_config(), grid,
-                                                 tol=1e-4, max_iter=200_000)
-    return _cache["dh_eq"]
+    grid = equilibrium.make_grid(400, 1e-4, 4.0)
+    return equilibrium.minimize_I(_dh_config(), grid, tol=1e-4, max_iter=200_000)
 
 
+@functools.cache
 def _dh_equilibrium_deep():
     """Reference objective for criterion 9: the [1e-4, ...] grid floor
     inflates the objective by ~0.13 (it cannot spread the ~11% of mass that
     lives below 1e-4), so the consistency comparison uses a grid reaching
     1e-8, whose objective is within ~0.02 of the continuum optimum."""
-    if "dh_eq_deep" not in _cache:
-        grid = equilibrium.make_grid(600, 1e-8, 4.0, geo_fraction=0.5)
-        _cache["dh_eq_deep"] = equilibrium.minimize_I(_dh_config(), grid,
-                                                      tol=1e-4, max_iter=200_000)
-    return _cache["dh_eq_deep"]
+    grid = equilibrium.make_grid(600, 1e-8, 4.0, geo_fraction=0.5)
+    return equilibrium.minimize_I(_dh_config(), grid, tol=1e-4, max_iter=200_000)
 
 
+@functools.cache
+def _id_equilibrium():
+    """Criterion-6 solve: identity g, 400 nodes on [1e-4, 6], tol 1e-4."""
+    grid = equilibrium.make_grid(400, 1e-4, 6.0)
+    return equilibrium.minimize_I(_id_config(), grid, tol=1e-4, max_iter=200_000)
+
+
+@functools.cache
 def _spectra(n, theta, b, seed, trials):
-    key = ("spectra", n, theta, b, seed, trials)
-    if key not in _cache:
-        params = ensemble.EnsembleParams(n=n, theta=theta, b=b, seed=seed)
-        _cache[key] = ensemble.sample_spectra(params, trials)
-    return _cache[key]
+    params = ensemble.EnsembleParams(n=n, theta=theta, b=b, seed=seed)
+    return ensemble.sample_spectra(params, trials)
 
 
 # ----------------------------------------------------------------------
@@ -144,11 +142,7 @@ def criterion_5_variational():
 def criterion_6_cross_method():
     """theta=1: equilibrium minimizer vs pooled matrix spectra at n=512
     (W1 <= 0.05) and MCMC vs matrix model at n=32 (W1 <= 0.05)."""
-    if "mp_eq" not in _cache:
-        grid = equilibrium.make_grid(400, 1e-4, 6.0)
-        _cache["mp_eq"] = equilibrium.minimize_I(_id_config(), grid,
-                                                 tol=1e-4, max_iter=200_000)
-    rep = _cache["mp_eq"]
+    rep = _id_equilibrium()
     pooled512 = EmpiricalMeasure(np.concatenate(
         [s.points for s in _spectra(512, 1.0, 1.0, 21, 20)]))
     w1_a = w1_distance(rep.minimizer, pooled512)
@@ -234,8 +228,7 @@ def criterion_8_rate_properties():
 
     grid = equilibrium.make_grid(200, 1e-4, 4.0)
     r1 = equilibrium.minimize_I(cfg, grid, tol=1e-5, max_iter=150_000)
-    h = np.diff(np.concatenate([[grid[0]], 0.5 * (grid[1:] + grid[:-1]), [grid[-1]]]))
-    shape = (grid / 4.0) * (1.0 - grid / 4.0) ** 4 * h
+    shape = (grid / 4.0) * (1.0 - grid / 4.0) ** 4 * voronoi_cell_widths(grid)
     w0 = np.maximum(shape, 1e-12)
     r2 = equilibrium.minimize_I(cfg, grid, tol=1e-5, max_iter=150_000,
                                 w0=w0 / w0.sum())

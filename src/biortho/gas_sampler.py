@@ -208,26 +208,6 @@ def check_growth(cfg):
                         worst_ratio=float(worst))
 
 
-def log_gas_density(cfg, x):
-    """Unnormalized log density of the gas at a configuration x in (0,inf)^n;
-    -inf at coincident coordinates (in x or in g(x))."""
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != cfg.n:
-        raise ValueError(f"configuration has {x.size} coordinates, expected {cfg.n}")
-    if np.any(x <= 0):
-        raise ValueError("coordinates must be positive")
-    gx = cfg.g(x)
-    iu, ju = np.triu_indices(cfg.n, k=1)
-    dx = np.abs(x[iu] - x[ju])
-    dg = np.abs(gx[iu] - gx[ju])
-    if dx.size and (np.any(dx == 0.0) or np.any(dg == 0.0)):
-        return -np.inf
-    val = -cfg.n * float(np.sum(cfg.v(x))) + (cfg.b - 1.0) * float(np.sum(np.log(x)))
-    if dx.size:
-        val += float(np.sum(np.log(dx)) + np.sum(np.log(dg)))
-    return val
-
-
 @dataclass
 class McmcDiagnostics:
     """Sampler diagnostics: post-burn-in acceptance rate (pooled over the

@@ -233,22 +233,3 @@ def pair_kernel_lower(t, cfg):
     if val.ndim == 0:
         return float(val)
     return val
-
-
-def measure_to_csv(m, path):
-    """Write a measure as two-column CSV with header "x,w"."""
-    x, w = support_and_weights(m)
-    with open(path, "w") as fh:
-        fh.write("x,w\n")
-        for xi, wi in zip(x, w):
-            fh.write(f"{xi:.17g},{wi:.17g}\n")
-
-
-def measure_from_csv(path):
-    """Read a two-column "x,w" CSV; uniform weights give an EmpiricalMeasure,
-    anything else a GridMeasure."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    x, w = data[:, 0], data[:, 1]
-    if np.allclose(w, 1.0 / len(w), rtol=0, atol=1e-15):
-        return EmpiricalMeasure(x)
-    return GridMeasure(x, w)

@@ -7,15 +7,15 @@ here: the real branch for monotone calculus, the complex branch for
 Stieltjes-transform work, and the boundary values on the cut for spectral
 densities.
 
-Root refinement is Halley's method (cubic convergence) with
+Off the cut, root refinement is Halley's method (cubic convergence) with
 regime-dependent starting points, after Corless, Gonnet, Hare, Jeffrey and
 Knuth, "On the Lambert W function", Adv. Comput. Math. 5 (1996):
 a square-root expansion near the branch point -1/e, a short series near 0,
-and log(z) - log(log(z)) for large arguments.  On the cut the branch
-condition Im(w) in (0, pi) is enforced structurally: the starting point
-comes from a bracketed Newton solve on the boundary parametrization
-w = -v*cot(v) + i*v with v in (0, pi), and Halley steps that would leave
-the closed upper half-plane are damped.
+and log(z) - log(log(z)) for large arguments.  An upper-half-plane result
+outside the strip 0 < Im w < pi raises instead of being repaired.  On the
+cut the value comes from one bracketed Newton solve on the boundary
+parametrization w = -v*cot(v) + i*v with v in (0, pi), so the branch
+condition Im(w) in (0, pi) holds by construction.
 
 All entry points accept scalars or numpy arrays and are pure.
 """
@@ -34,14 +34,15 @@ _TINY = float(np.nextafter(0.0, 1.0))
 
 
 class LambertWError(RuntimeError):
-    """Iteration cap reached without meeting the step tolerance."""
+    """Iteration cap reached without meeting the step tolerance, or a
+    result off the principal branch."""
 
 
-def _halley(w0, z, keep_upper=False):
+def _halley(w0, z):
     """Refine w0 toward w*exp(w) = z elementwise; raises on non-convergence.
 
-    keep_upper halves steps that would leave the closed upper half-plane,
-    which pins the branch choice for arguments on the cut.
+    The steps are undamped, so the root reached is the one the starting
+    point leads to; callers check the branch.
     """
     w = np.array(w0, dtype=complex)
     z = np.asarray(z, dtype=complex)
@@ -55,13 +56,6 @@ def _halley(w0, z, keep_upper=False):
         wp1 = np.where(np.abs(wp1) < 1e-12, 1e-12 + 0j, wp1)
         dw = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
         dw = np.where(done, 0.0, dw)
-        if keep_upper:
-            for _ in range(80):
-                nxt = w - dw
-                bad = ~done & ((nxt.imag < 0.0) | (nxt.imag > np.pi))
-                if not bad.any():
-                    break
-                dw = np.where(bad, 0.5 * dw, dw)
         w = w - dw
         step = np.abs(dw)
         done |= step <= _STEP_TOL * (1.0 + np.abs(w))
@@ -127,7 +121,8 @@ def lambert_w0_complex(z):
 
     For arguments exactly on the open cut (Im z == 0, Re z < -1/e) use
     lambert_w0_cut_above, which fixes the branch from the upper half-plane.
-    For Im(z) > 0 the result satisfies Im(w) in (0, pi).
+    For Im(z) > 0 the result satisfies Im(w) in (0, pi); a Halley solve
+    that lands outside that strip raises LambertWError.
     """
     arr = np.asarray(z, dtype=complex)
     scalar = arr.ndim == 0
@@ -150,18 +145,13 @@ def lambert_w0_complex(z):
     refine = ~zero & ~huge
     if refine.any():
         w[refine] = _halley(w[refine], zc[refine])
-    # the open upper half-plane maps into the strip 0 < Im w < pi; a stray
-    # convergence to the reflected branch is repaired from a mirrored start.
+    # the open upper half-plane maps into the strip 0 < Im w < pi.
     # Im w underflows to 0 when Im z is near the subnormal range; the
     # smallest positive double keeps such a w on the side of its branch
     up = zc.imag > 0
     w.imag[up & (w.imag == 0.0)] = _TINY
-    bad = up & ((w.imag <= 0.0) | (w.imag >= np.pi))
-    if bad.any():
-        w[bad] = _halley(np.conj(w[bad]), zc[bad], keep_upper=True)
-        still = up & ((w.imag <= 0.0) | (w.imag >= np.pi))
-        if still.any():
-            raise LambertWError("failed to locate the upper-half-plane branch")
+    if np.any(up & ((w.imag <= 0.0) | (w.imag >= np.pi))):
+        raise LambertWError("Halley iteration left the principal branch")
     return complex(w[0]) if scalar else w
 
 
@@ -169,7 +159,8 @@ def lambert_w0_cut_above(x):
     """Boundary value lim_{eps->0+} W0(x + i*eps) for real x < -1/e.
 
     Returns the root w of w*exp(w) = x with Im(w) in (0, pi); residual
-    <= 1e-12*|x|.  Raises ValueError for x >= -1/e.
+    <= 1e-12*|x|.  Raises ValueError for x >= -1/e.  The value is
+    lambert_w0_cut_above_log(log(-x)), the cut solve in tau = log|x|.
     """
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
@@ -177,9 +168,6 @@ def lambert_w0_cut_above(x):
     if np.any(a >= BRANCH_POINT):
         raise ValueError("lambert_w0_cut_above requires x < -1/e")
     w = lambert_w0_cut_above_log(np.log(-a))
-    safe = -a < _HUGE
-    if safe.any():
-        w[safe] = _halley(w[safe], a[safe].astype(complex), keep_upper=True)
     return complex(w[0]) if scalar else w
 
 

@@ -1,11 +1,11 @@
-"""Gas configuration, growth check, log density, Metropolis sampler."""
+"""Gas configuration, growth check, Metropolis sampler."""
 
 import numpy as np
 import pytest
 
 from biortho import ensemble as en
 from biortho.gas_sampler import (GasConfig, GFunction, Potential, check_growth,
-                                 log_gas_density, mcmc_sample)
+                                 mcmc_sample)
 from biortho.measures import EmpiricalMeasure, w1_distance
 
 
@@ -71,37 +71,6 @@ class TestGrowthCheck:
     def test_exp_quadratic_passes(self):
         cfg = GasConfig(8, GFunction("exp"), Potential.polynomial([0, 0, 1]), 1.0)
         assert check_growth(cfg).passed
-
-
-class TestLogGasDensity:
-    def test_single_particle(self):
-        cfg = GasConfig(1, GFunction("identity"), Potential.linear(1.0), 2.0)
-        x = 3.0
-        assert log_gas_density(cfg, [x]) == pytest.approx(-x + (cfg.b - 1) * np.log(x))
-
-    def test_hand_value_two_particles(self):
-        cfg = GasConfig(2, GFunction("identity"), Potential.linear(1.0), 1.0)
-        assert log_gas_density(cfg, [1.0, 2.0]) == pytest.approx(-6.0)
-
-    def test_coincidence(self):
-        cfg = GasConfig(2, GFunction("identity"), Potential.linear(1.0), 1.0)
-        assert log_gas_density(cfg, [1.0, 1.0]) == -np.inf
-
-    def test_domain(self):
-        cfg = GasConfig(2, GFunction("log"), Potential.linear(1.0), 1.0)
-        with pytest.raises(ValueError):
-            log_gas_density(cfg, [1.0, -2.0])
-        with pytest.raises(ValueError):
-            log_gas_density(cfg, [1.0, 2.0, 3.0])
-
-    def test_permutation_symmetric(self):
-        rng = np.random.default_rng(5)
-        cfg = GasConfig(12, GFunction("log"), Potential.linear(1.0), 1.5)
-        x = rng.uniform(0.1, 4.0, 12)
-        base = log_gas_density(cfg, x)
-        for _ in range(100):
-            perm = rng.permutation(12)
-            assert log_gas_density(cfg, x[perm]) == pytest.approx(base, abs=1e-12)
 
 
 class TestMcmc:

@@ -1,4 +1,5 @@
-"""No unused top-level imports in the package (no lint tool is installed)."""
+"""No unused top-level imports and no public name that only its own
+definition or the tests use, in the package (no lint tool is installed)."""
 
 import ast
 from pathlib import Path
@@ -49,3 +50,69 @@ def test_checker_finds_unused_and_honours_noqa():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# kept public without a package caller: the proof-lab tests use it as the
+# reference derivative
+UNCALLED_ALLOWED = {"GFunction.deriv"}
+
+
+def public_definitions(source):
+    """Qualified names of public top-level functions and classes and of the
+    public methods of public top-level classes, in source order."""
+    names = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [f"{node.name}.{item.name}" for item in node.body
+                      if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+    return names
+
+
+def used_names(source):
+    """Names read as a bare name or an attribute, or imported by name,
+    anywhere in the source, except inside the definition that binds the
+    same name."""
+    used = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        elif isinstance(node, ast.Name) and node.id not in enclosing:
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in enclosing:
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(ast.parse(source), frozenset())
+    return used
+
+
+def uncalled_public(sources):
+    """Public definitions (see public_definitions) that no package source
+    names outside their own definition."""
+    used = set().union(*(used_names(src) for src in sources))
+    return [name for src in sources for name in public_definitions(src)
+            if name.rsplit(".", 1)[-1] not in used]
+
+
+def test_uncalled_checker():
+    lib = ("def used():\n    return 1\n"
+           "def orphan():\n    return orphan()\n"
+           "def _private():\n    pass\n"
+           "class Box:\n"
+           "    def get(self):\n        return self.get\n"
+           "    def put(self):\n        pass\n")
+    caller = "from .lib import used, Box\nBox().put(used())\n"
+    assert uncalled_public([lib, caller]) == ["orphan", "Box.get"]
+
+
+def test_no_public_name_only_tests_call():
+    sources = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    assert sources
+    assert set(uncalled_public(sources)) - UNCALLED_ALLOWED == set()

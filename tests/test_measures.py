@@ -248,18 +248,3 @@ class TestPairKernel:
         f = mm.pair_kernel_f(x, y, cfg)
         phi = mm.pair_kernel_lower(x, cfg) + mm.pair_kernel_lower(y, cfg)
         assert np.all(f >= phi - 1e-12)
-
-
-def test_csv_roundtrip(tmp_path):
-    g = mm.GridMeasure([0.5, 1.5, 2.5], [0.2, 0.5, 0.3])
-    path = tmp_path / "m.csv"
-    mm.measure_to_csv(g, path)
-    assert path.read_text().splitlines()[0] == "x,w"
-    back = mm.measure_from_csv(path)
-    assert isinstance(back, mm.GridMeasure)
-    assert np.allclose(back.nodes, g.nodes)
-    assert np.allclose(back.weights, g.weights)
-    e = em(1.0, 2.0)
-    mm.measure_to_csv(e, path)
-    back = mm.measure_from_csv(path)
-    assert isinstance(back, mm.EmpiricalMeasure)

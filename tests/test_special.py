@@ -98,6 +98,15 @@ class TestComplex:
         theirs = scipy.special.lambertw(z)
         assert np.max(np.abs(ours - theirs)) < 1e-10
 
+    def test_off_branch_result_raises(self, monkeypatch):
+        # a Halley solve that lands on the conjugate root is reported,
+        # not repaired
+        halley = special._halley
+        monkeypatch.setattr(special, "_halley",
+                            lambda w0, z: np.conj(halley(w0, z)))
+        with pytest.raises(special.LambertWError):
+            special.lambert_w0_complex(np.array([-1.0 + 0.5j, 2.0 + 1.0j]))
+
 
 class TestCutAbove:
     def test_root_solve_oracle_at_minus_one(self):
@@ -152,6 +161,13 @@ class TestCutAbove:
         w = special.lambert_w0_cut_above_log(tau)
         assert all(w[k] == special.lambert_w0_cut_above_log(t)[0]
                    for k, t in enumerate(tau))
+
+    def test_equals_log_form_exactly(self):
+        # one algorithm on the cut: the x form is the tau form at log(-x),
+        # bit for bit, on the acceptance criterion's cut grid
+        x = -np.geomspace(1.0 / np.e + 1e-12, 1e8, 3334)
+        w = special.lambert_w0_cut_above(x)
+        assert np.array_equal(w, special.lambert_w0_cut_above_log(np.log(-x)))
 
     def test_log_form_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(special, "_CUT_MAX_ITER", 1)
