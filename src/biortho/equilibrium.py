@@ -15,16 +15,31 @@ d = Mw + V equals a constant c on the support and is no smaller off it
 (Saff & Totik, Logarithmic Potentials with External Fields, 1997).  The
 solver is a primal active-set method in the style of Lawson-Hanson NNLS
 (Solving Least Squares Problems, 1974).  Each iteration solves the problem
-restricted to the current face exactly, through the saddle system
+restricted to the current face S of k nodes exactly, through the bordered
+saddle system
 
-    [M_SS  -1] [z]   [-V_S]
-    [1'     0] [c] = [  1 ],
+    [0  1'  ] [-c]   [   1]
+    [1  M_SS] [ z] = [-V_S],
 
 which is nonsingular because M is positive definite on sum-zero vectors.
 If z has a nonpositive entry, w steps toward z until its first weight
 reaches zero and that node leaves the face; otherwise w moves to z and the
 off-support node of smallest gradient joins the face if it violates the
 conditions by more than tol.  Off-support weights are exact zeros.
+
+The solver keeps the inverse B of the saddle matrix across iterations, so
+each face solve is the O(k^2) product of B with the right-hand side.  A
+node that leaves the face is swapped into the last row and column of B,
+and the rank-one deletion B - B[:,j] B[j,:] / B[j,j] (Golub & Van Loan,
+Matrix Computations, sec. 2.1.4) leaves in the leading block the inverse
+for the smaller face, again in O(k^2); a step that zeroes several weights
+deletes each of those nodes in turn.  B is built from scratch, in O(k^3),
+at the start, when a node joins the face, and when a face solve's residual
+max(|M_SS z - c + V_S|, |sum z - 1|) exceeds _DRIFT_BOUND; that solve is
+then redone on the new B.  The report's refactors counts these drift
+rebuilds.  On the acceptance grids the solve starts from the full support
+and only drops nodes, so the first build is its only factorization.
+
 Termination is by the KKT residual
 
     max( c - min_i d_i,  max_{i in support} |d_i - c| ),   c = sum w_i d_i,
@@ -46,11 +61,13 @@ from .measures import (GridMeasure, energy_kernel, log_energy_grid,  # noqa: F40
 
 @dataclass
 class SolverReport:
-    """Minimizer plus diagnostics.  iterations counts face solves;
-    converged=False means the cap max_iter was reached before the KKT
-    residual met tol, and the last iterate is reported.  objective_trace
-    holds the objective after each face solve, non-increasing since every
-    step moves toward a face minimizer."""
+    """Minimizer plus diagnostics.  iterations counts face solves and
+    refactors the face solves redone on a rebuilt saddle inverse after
+    their residual failed the drift check; converged=False means the cap
+    max_iter was reached before the KKT residual met tol, and the last
+    iterate is reported.  objective_trace holds the objective after each
+    face solve, non-increasing since every step moves toward a face
+    minimizer."""
 
     minimizer: GridMeasure
     objective: float
@@ -58,6 +75,7 @@ class SolverReport:
     b_eq: float
     kappa: float
     iterations: int
+    refactors: int
     converged: bool
     objective_trace: np.ndarray = None
 
@@ -70,11 +88,15 @@ class SolverReport:
             "b_eq": self.b_eq,
             "kappa": self.kappa,
             "iterations": self.iterations,
+            "refactors": self.refactors,
             "converged": self.converged,
         }
 
 
 _GEO_UNTIL = 0.1     # make_grid spaces nodes geometrically below this
+# a face solve whose saddle residual exceeds this is redone on a rebuilt
+# inverse; fresh solves on the acceptance grids read about 1e-14
+_DRIFT_BOUND = 1e-12
 
 
 def make_grid(n, lo, hi, geo_fraction=0.25):
@@ -147,21 +169,23 @@ def minimize_I(cfg, grid, tol=1e-6, max_iter=200_000, w0=None):
         if w.size != m or np.any(w < 0) or not w.sum() > 0:
             raise ValueError("w0 must be a nonnegative weight vector on the grid")
         w = w / w.sum()
-    free = w > 0
+    s = np.flatnonzero(w > 0)
+    inv = _saddle_inverse(mat, s)
     grad = mat @ w + vv
     obj = 0.5 * float(w @ (grad + vv))
     kkt = _kkt(grad, w)
-    iterations = 0
+    iterations = refactors = 0
     trace = [obj]
     while kkt > tol and iterations < max_iter:
         iterations += 1
-        s = np.flatnonzero(free)
         k = s.size
-        saddle = np.zeros((k + 1, k + 1))
-        saddle[:k, :k] = mat[np.ix_(s, s)]
-        saddle[:k, k] = -1.0
-        saddle[k, :k] = 1.0
-        z = np.linalg.solve(saddle, np.append(-vv[s], 1.0))[:k]
+        rhs = np.concatenate(([1.0], -vv[s]))
+        y = inv[:k + 1, :k + 1] @ rhs
+        if _face_residual(mat, vv, s, y) > _DRIFT_BOUND:
+            refactors += 1
+            inv = _saddle_inverse(mat, s)
+            y = inv @ rhs
+        z = y[1:]
         blocked = z <= 0
         if blocked.any():
             ws = w[s]
@@ -169,7 +193,9 @@ def minimize_I(cfg, grid, tol=1e-6, max_iter=200_000, w0=None):
             ws += ratios.min() * (z - ws)
             ws[np.flatnonzero(blocked)[ratios.argmin()]] = 0.0
             w[s] = np.maximum(ws, 0.0)
-            free = w > 0
+            # descending, so each swap brings a staying node into the slot
+            for p in np.flatnonzero(w[s] == 0)[::-1]:
+                s = _drop_slot(inv, s, p)
         else:
             w[s] = z
         grad = mat @ w + vv
@@ -177,15 +203,48 @@ def minimize_I(cfg, grid, tol=1e-6, max_iter=200_000, w0=None):
         trace.append(obj)
         kkt = _kkt(grad, w)
         if not blocked.any():
-            j = np.where(free, np.inf, grad).argmin()
-            if float(w @ grad) - grad[j] > tol:
-                free[j] = True
+            off = np.where(w > 0, np.inf, grad)
+            j = off.argmin()
+            if float(w @ grad) - off[j] > tol:
+                s = np.append(s, j)
+                inv = _saddle_inverse(mat, s)
     minimizer = GridMeasure(nodes, w)
     b_eq = _support_endpoint(minimizer)
     kappa = _effective_potential(np.array([b_eq]), minimizer, cfg)[0]
     return SolverReport(minimizer=minimizer, objective=obj, kkt_residual=kkt,
                         b_eq=b_eq, kappa=kappa, iterations=iterations,
-                        converged=kkt <= tol, objective_trace=np.array(trace))
+                        refactors=refactors, converged=kkt <= tol,
+                        objective_trace=np.array(trace))
+
+
+def _saddle_inverse(mat, s):
+    """Inverse of the bordered face matrix [[0, 1'], [1, M_SS]], its row and
+    column 0 for the multiplier and p + 1 for node s[p]."""
+    a = np.ones((s.size + 1, s.size + 1))
+    a[0, 0] = 0.0
+    a[1:, 1:] = mat[np.ix_(s, s)]
+    return np.linalg.inv(a)
+
+
+def _face_residual(mat, vv, s, y):
+    """max(|M_SS z - c + v_S|, |sum z - 1|) of y = (-c, z) on the face s."""
+    z_full = np.zeros(mat.shape[0])
+    z_full[s] = y[1:]
+    r = (mat @ z_full)[s] + vv[s] + y[0]
+    return max(float(np.abs(r).max()), abs(float(y[1:].sum()) - 1.0))
+
+
+def _drop_slot(inv, s, p):
+    """Delete node slot p from the face: swap it into the last live slot of
+    the inverse, then apply the rank-one deletion B - B[:,j] B[j,:] / B[j,j]
+    to the leading block, in place.  Returns the face shortened by one."""
+    k = s.size
+    inv[[p + 1, k], :k + 1] = inv[[k, p + 1], :k + 1]
+    inv[:k + 1, [p + 1, k]] = inv[:k + 1, [k, p + 1]]
+    s[[p, k - 1]] = s[[k - 1, p]]
+    live = inv[:k, :k]
+    live -= np.outer(inv[:k, k], inv[k, :k] / inv[k, k])
+    return s[:k - 1]
 
 
 def _support_endpoint(mu):

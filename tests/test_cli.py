@@ -179,6 +179,8 @@ class TestEquilibriumCommand:
         assert len(payload["nodes"]) == 60
         assert sum(payload["weights"]) == pytest.approx(1.0, abs=1e-9)
         assert payload["kkt_residual"] <= 1e-3
+        assert payload["refactors"] == 0
+        assert payload["iterations"] > 0
         assert payload["run_config"]["subcommand"] == "equilibrium"
         svg = plot.read_text()
         assert svg.startswith("<svg")

@@ -143,6 +143,59 @@ class TestMinimize:
         assert rep.kkt_residual <= 1e-12
         assert eq.kkt_residual(rep.minimizer, dh_cfg()) <= 1e-12
 
+    def test_work_counts_pinned(self):
+        # face solves of the acceptance grids, all drops from the full
+        # support, and no drift rebuild of the kept saddle inverse
+        for solve, iterations in ((acceptance._dh_equilibrium, 97),
+                                  (acceptance._id_equilibrium, 103),
+                                  (acceptance._dh_equilibrium_deep, 99)):
+            rep = solve()
+            assert (rep.iterations, rep.refactors) == (iterations, 0)
+
+    def test_support_grows_from_few_nodes(self):
+        # w0 on three nodes: the solver must add nodes, rebuilding the
+        # saddle inverse at each add, and land on the cold-start minimizer
+        grid = eq.make_grid(100, 1e-4, 4.0)
+        cold = eq.minimize_I(dh_cfg(), grid, tol=1e-12)
+        w0 = np.zeros(100)
+        w0[[20, 50, 75]] = 1.0
+        warm = eq.minimize_I(dh_cfg(), grid, tol=1e-12, w0=w0)
+        assert warm.converged and warm.refactors == 0
+        assert np.count_nonzero(warm.minimizer.weights) > 3
+        assert warm.kkt_residual <= 1e-12
+        assert eq.kkt_residual(warm.minimizer, dh_cfg()) <= 1e-12
+        assert w1_distance(cold.minimizer, warm.minimizer) <= 1e-12
+
+    def test_drift_check_rebuilds_inverse(self, monkeypatch):
+        # with a zero bound every face solve fails the residual check and
+        # is redone on a freshly built inverse
+        grid = eq.make_grid(100, 1e-4, 4.0)
+        kept = eq.minimize_I(dh_cfg(), grid, tol=1e-12)
+        monkeypatch.setattr(eq, "_DRIFT_BOUND", 0.0)
+        rebuilt = eq.minimize_I(dh_cfg(), grid, tol=1e-12)
+        assert kept.refactors == 0
+        assert rebuilt.refactors == rebuilt.iterations > 0
+        assert rebuilt.converged
+        assert w1_distance(kept.minimizer, rebuilt.minimizer) <= 1e-13
+
+    def test_drift_check_catches_corrupt_downdate(self, monkeypatch):
+        # a downdate that leaves a wrong inverse is caught by the residual
+        # check, and the face solve is redone on a rebuilt one
+        grid = eq.make_grid(100, 1e-4, 4.0)
+        kept = eq.minimize_I(dh_cfg(), grid, tol=1e-12)
+        drop_slot = eq._drop_slot
+
+        def corrupt(inv, s, p):
+            s = drop_slot(inv, s, p)
+            inv[1, 1] += 1e-6
+            return s
+
+        monkeypatch.setattr(eq, "_drop_slot", corrupt)
+        rebuilt = eq.minimize_I(dh_cfg(), grid, tol=1e-12)
+        assert rebuilt.refactors > 0
+        assert rebuilt.converged and rebuilt.iterations == kept.iterations
+        assert w1_distance(kept.minimizer, rebuilt.minimizer) <= 1e-13
+
     def test_objective_matches_slsqp(self):
         optimize = pytest.importorskip("scipy.optimize")
         grid = eq.make_grid(20, 1e-3, 4.0)
