@@ -306,14 +306,3 @@ def run_criterion(index):
             return CriterionResult(idx, name, passed, detail, time.perf_counter() - t0)
     raise ValueError(f"no criterion {index}")
 
-
-def run_all(only=None):
-    results = []
-    for idx, _, _ in CRITERIA:
-        if only and idx not in only:
-            continue
-        res = run_criterion(idx)
-        print(f"criterion {idx:2d} {res.name:<28} "
-              f"{'PASS' if res.passed else 'FAIL'}  {res.detail}")
-        results.append(res)
-    return results

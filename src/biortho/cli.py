@@ -303,11 +303,12 @@ def _cmd_verify(args):
     only = None
     if args.only:
         only = {int(v) for v in args.only.split(",")}
-    results = acceptance.run_all(only=only)
-    print()
     print(f"{'':>4} {'criterion':<28} {'result':<6} {'time':>8}  detail")
     ok = True
-    for r in results:
+    for idx, _, _ in acceptance.CRITERIA:
+        if only and idx not in only:
+            continue
+        r = acceptance.run_criterion(idx)
         ok &= r.passed
         status = "PASS" if r.passed else "FAIL"
         print(f"{r.index:>4} {r.name:<28} {status:<6} {r.seconds:>7.1f}s  {r.detail}")

@@ -276,9 +276,11 @@ def cell_density(mu):
 
 
 def _effective_potential(x, mu, cfg):
-    """U(x) = -0.5 * int [log|x-y| + log|g(x)-g(y)|] d(mu)(y) + V(x), the
-    integral taken against mu spread piecewise-uniformly over its cells
-    (semi-analytic, finite for x on the support)."""
+    """U(x) = -int [log|x-y| + log|g(x)-g(y)|] d(mu)(y) + V(x), the first
+    variation of I at mu (unit coefficients: the 1/2 of the i < j pair sum
+    cancels), the integral taken against mu spread piecewise-uniformly over
+    its cells (semi-analytic, finite for x on the support).  At the
+    minimizer U is constant on the support (the Frostman condition)."""
     x = np.asarray(x, dtype=float)
     edges, dens_x = cell_density(mu)
     gedges = np.asarray(cfg.g(edges), dtype=float)
@@ -292,7 +294,7 @@ def _effective_potential(x, mu, cfg):
            - _antideriv(lo[None, :] - x[:, None])) * dens_x[None, :]).sum(axis=1)
     lg = ((_antideriv(ghi[None, :] - gx[:, None])
            - _antideriv(glo[None, :] - gx[:, None])) * dens_g[None, :]).sum(axis=1)
-    return -0.5 * (lx + lg) + np.asarray(cfg.v(x), dtype=float)
+    return -(lx + lg) + np.asarray(cfg.v(x), dtype=float)
 
 
 def rate_J_largest(x, mu_eq, cfg):

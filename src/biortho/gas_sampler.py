@@ -6,6 +6,10 @@ The target is the unnormalized density
 
 for an increasing interaction map g and a confining potential V that grows
 faster than (b+1)*log at infinity (checked heuristically before sampling).
+Each interaction kind is one row of the table _G_KINDS, which holds g, g'
+and log|g| as functions of (x, theta); V is one polynomial, evaluated by
+Horner's rule (`linear:a` is the polynomial 0 + a*x).
+
 The sampler is single-coordinate Metropolis on log coordinates -- the state
 space is (0, inf)^n and a multiplicative walk is scale-free there -- with
 the log-coordinate Jacobian folded into the acceptance ratio.  Step sizes
@@ -27,7 +31,25 @@ import numpy as np
 
 from .measures import EmpiricalMeasure
 
-_G_KINDS = ("power", "log", "asinh2", "exp", "identity")
+# kind -> (g, g', log|g|), each a function of (x, theta); log|g| is
+# overflow-safe (log exp(x) = x without forming exp(x))
+_G_KINDS = {
+    "power": (lambda x, t: x ** t,
+              lambda x, t: t * x ** (t - 1.0),
+              lambda x, t: t * np.log(x)),
+    "log": (lambda x, t: np.log(x),
+            lambda x, t: 1.0 / x,
+            lambda x, t: np.log(np.abs(np.log(x)))),
+    "asinh2": (lambda x, t: np.arcsinh(np.sqrt(x)) ** 2,
+               lambda x, t: np.arcsinh(np.sqrt(x)) / (np.sqrt(x) * np.sqrt(1.0 + x)),
+               lambda x, t: 2.0 * np.log(np.arcsinh(np.sqrt(x)))),
+    "exp": (lambda x, t: np.exp(x),
+            lambda x, t: np.exp(x),
+            lambda x, t: x + 0.0),
+    "identity": (lambda x, t: x + 0.0,
+                 lambda x, t: np.ones_like(x),
+                 lambda x, t: np.log(x)),
+}
 _COINCIDENCE_TOL = 1e-14
 _GROWTH_CHECKPOINTS = (1e2, 1e4, 1e6, 1e8)
 _TARGET_ACCEPT = 0.35        # burn-in adapts step sizes toward this rate
@@ -35,8 +57,8 @@ _TARGET_ACCEPT = 0.35        # burn-in adapts step sizes toward this rate
 
 @dataclass(frozen=True)
 class GFunction:
-    """Increasing interaction map on (0, inf): x^theta, log, asinh(sqrt)^2,
-    exp, or identity."""
+    """Increasing interaction map on (0, inf), one of the _G_KINDS rows:
+    x^theta, log, asinh(sqrt)^2, exp, or identity."""
 
     kind: str
     theta: float = 1.0
@@ -47,56 +69,28 @@ class GFunction:
         if self.kind == "power" and not self.theta > 0:
             raise ValueError("power interaction needs theta > 0")
 
+    def _eval(self, column, x):
+        return _G_KINDS[self.kind][column](np.asarray(x, dtype=float), self.theta)
+
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "power":
-            return x ** self.theta
-        if self.kind == "log":
-            return np.log(x)
-        if self.kind == "asinh2":
-            return np.arcsinh(np.sqrt(x)) ** 2
-        if self.kind == "exp":
-            return np.exp(x)
-        return x + 0.0
+        return self._eval(0, x)
 
     def deriv(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "power":
-            return self.theta * x ** (self.theta - 1.0)
-        if self.kind == "log":
-            return 1.0 / x
-        if self.kind == "asinh2":
-            r = np.sqrt(x)
-            return np.arcsinh(r) / (r * np.sqrt(1.0 + x))
-        if self.kind == "exp":
-            return np.exp(x)
-        return np.ones_like(x)
+        return self._eval(1, x)
 
     def log_abs(self, x):
-        """log|g(x)|, overflow-safe (log exp(x) = x without forming exp(x))."""
-        x = np.asarray(x, dtype=float)
-        if self.kind == "power":
-            return self.theta * np.log(x)
-        if self.kind == "log":
-            return np.log(np.abs(np.log(x)))
-        if self.kind == "asinh2":
-            return 2.0 * np.log(np.arcsinh(np.sqrt(x)))
-        if self.kind == "exp":
-            return x + 0.0
-        return np.log(x)
+        """log|g(x)|, overflow-safe."""
+        return self._eval(2, x)
 
     @classmethod
     def parse(cls, text):
         """Parse CLI syntax: power:2 | log | asinh2 | exp | id."""
         name, _, arg = text.partition(":")
         name = name.strip().lower()
-        if name in ("id", "identity"):
-            return cls("identity")
-        if name == "power":
-            return cls("power", float(arg)) if arg else cls("power", 1.0)
-        if name in _G_KINDS:
-            return cls(name)
-        raise ValueError(f"cannot parse interaction map {text!r}")
+        name = "identity" if name == "id" else name
+        if name not in _G_KINDS:
+            raise ValueError(f"cannot parse interaction map {text!r}")
+        return cls(name, float(arg) if name == "power" and arg else 1.0)
 
     @property
     def label(self):
@@ -107,42 +101,39 @@ class GFunction:
 
 @dataclass(frozen=True)
 class Potential:
-    """Confining potential: linear a*x (a > 0) or a polynomial with positive
-    leading coefficient, ascending coefficients."""
+    """Confining polynomial potential sum_k c_k x^k: ascending coefficients,
+    degree >= 1, positive leading coefficient."""
 
-    kind: str
     coeffs: tuple
 
     def __post_init__(self):
-        if self.kind == "linear":
-            if len(self.coeffs) != 1 or not self.coeffs[0] > 0:
-                raise ValueError("linear potential needs one coefficient a > 0")
-        elif self.kind == "polynomial":
-            if len(self.coeffs) < 2:
-                raise ValueError("polynomial potential needs degree >= 1")
-            if not self.coeffs[-1] > 0:
-                raise ValueError("polynomial potential needs a positive leading "
-                                 "coefficient")
-        else:
-            raise ValueError(f"unknown potential kind {self.kind!r}")
+        if len(self.coeffs) < 2:
+            raise ValueError("polynomial potential needs degree >= 1")
+        if not self.coeffs[-1] > 0:
+            raise ValueError("polynomial potential needs a positive leading "
+                             "coefficient")
 
     def __call__(self, x):
+        """Horner's rule in polyval's operation order, so bit-identical to
+        np.polynomial.polynomial.polyval for finite x (and inf, not nan, at
+        x = inf)."""
         x = np.asarray(x, dtype=float)
-        if self.kind == "linear":
-            return self.coeffs[0] * x
-        return np.polynomial.polynomial.polyval(x, np.asarray(self.coeffs))
+        val = self.coeffs[-1] * x + self.coeffs[-2]
+        for c in reversed(self.coeffs[:-2]):
+            val = val * x + c
+        return val
 
     @classmethod
     def linear(cls, a=1.0):
-        return cls("linear", (float(a),))
+        return cls((0.0, float(a)))
 
     @classmethod
     def polynomial(cls, coeffs):
-        return cls("polynomial", tuple(float(c) for c in coeffs))
+        return cls(tuple(float(c) for c in coeffs))
 
     @classmethod
     def parse(cls, text):
-        """Parse CLI syntax: linear:1 | poly:c0,c1,..."""
+        """Parse CLI syntax: linear:a (= poly:0,a) | poly:c0,c1,..."""
         name, _, arg = text.partition(":")
         name = name.strip().lower()
         if name == "linear":
@@ -150,12 +141,6 @@ class Potential:
         if name in ("poly", "polynomial"):
             return cls.polynomial([float(c) for c in arg.split(",")])
         raise ValueError(f"cannot parse potential {text!r}")
-
-    @property
-    def label(self):
-        if self.kind == "linear":
-            return f"linear:{self.coeffs[0]:g}"
-        return "poly:" + ",".join(f"{c:g}" for c in self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -175,53 +160,31 @@ class GasConfig:
             raise ValueError("weight exponent b must be > 0")
 
 
-@dataclass(frozen=True)
-class GrowthReport:
-    """Outcome of the confinement growth check at fixed checkpoints."""
-
-    passed: bool
-    checkpoints: tuple
-    ratio_log_x: tuple
-    ratio_log_g: tuple
-    worst_ratio: float
-
-    def __bool__(self):
-        return self.passed
-
-
 def check_growth(cfg):
-    """Heuristic check that V dominates (b+1)*log x and (b+1)*log|g(x)| at
-    x in {1e2, 1e4, 1e6, 1e8}; both ratios must exceed 1 everywhere.
-    A bounded or sub-unit |g| puts no constraint (ratio is +inf there)."""
+    """Worst ratio of V(x) to (b+1)*log x and to (b+1)*log|g(x)| over
+    x in {1e2, 1e4, 1e6, 1e8}, a heuristic for confinement: the gas is
+    taken to confine when it exceeds 1.  A bounded or sub-unit |g| puts no
+    constraint (its ratio is +inf there)."""
     beta = cfg.b + 1.0
-    r1, r2 = [], []
+    worst = np.inf
     for x in _GROWTH_CHECKPOINTS:
         vx = float(cfg.v(x))
-        r1.append(vx / (beta * np.log(x)))
         lg = float(cfg.g.log_abs(x))
-        r2.append(vx / (beta * lg) if lg > 0 else np.inf)
-    worst = min(min(r1), min(r2))
-    return GrowthReport(passed=worst > 1.0,
-                        checkpoints=_GROWTH_CHECKPOINTS,
-                        ratio_log_x=tuple(r1),
-                        ratio_log_g=tuple(r2),
-                        worst_ratio=float(worst))
+        worst = min(worst, vx / (beta * np.log(x)),
+                    vx / (beta * lg) if lg > 0 else np.inf)
+    return float(worst)
 
 
 @dataclass
 class McmcDiagnostics:
-    """Sampler diagnostics: post-burn-in acceptance rate (pooled over the
-    chains), frozen step sizes, per-chain acceptance rates and final
-    configurations, an optional thinned trace, and the wall time.
-
-    With one chain, step_sizes is (n,) and trace (records, n); with k > 1
-    chains both carry a leading chain axis: (k, n) and (k, records, n).
-    chain_acceptance is always (k,) and final (k, n), unsorted."""
+    """Sampler diagnostics for k >= 1 chains: the post-burn-in acceptance
+    rate pooled over the chains, per-chain acceptance rates (k,), frozen
+    step sizes (k, n), final configurations (k, n), unsorted, an optional
+    thinned trace (k, records, n), and the wall time.  Every per-chain
+    array keeps its chain axis, also for one chain."""
 
     acceptance_rate: float
     step_sizes: np.ndarray
-    sweeps: int
-    burn_in: int
     chain_acceptance: np.ndarray
     final: np.ndarray
     wall_s: float
@@ -238,18 +201,19 @@ def mcmc_sample(cfg, steps, burn_in, seed, record_every=0, chains=1):
     Jacobian term, so the chain targets the gas density itself.  Proposals
     landing within 1e-14 of another coordinate are rejected outright.
     record_every > 0 stores every so-many post-burn-in sweeps in the
-    diagnostics trace.  Chain c draws from Philox(key=seed + c) and is bit
-    for bit the single-chain run with that seed.  Every chain starts from
-    the evenly spaced configuration x_i = 2(i + 1/2)/n, i = 0..n-1.
+    diagnostics trace, (chains, records, n).  Chain c draws from
+    Philox(key=seed + c) and is bit for bit the single-chain run with that
+    seed.  Every chain starts from the evenly spaced configuration
+    x_i = 2(i + 1/2)/n, i = 0..n-1.
     """
     if steps < 1 or burn_in < 1:
         raise ValueError("steps and burn_in must be positive")
     if chains < 1:
         raise ValueError("chains must be positive")
-    growth = check_growth(cfg)
-    if not growth.passed:
+    worst = check_growth(cfg)
+    if not worst > 1.0:
         raise ValueError(
-            f"growth check failed (worst ratio {growth.worst_ratio:.4g} <= 1); "
+            f"growth check failed (worst ratio {worst:.4g} <= 1); "
             "the rate functional would not confine this gas")
     t0 = time.perf_counter()
     n, k = cfg.n, chains
@@ -310,15 +274,12 @@ def mcmc_sample(cfg, steps, burn_in, seed, record_every=0, chains=1):
                 accepted_post += accepted
                 if record_every and (sweep - burn_in) % record_every == 0:
                     trace[:, (sweep - burn_in) // record_every] = state[0]
-    one = k == 1
     diag = McmcDiagnostics(
         acceptance_rate=float(accepted_post.sum() / (k * n * steps)),
-        step_sizes=sig[0] if one else sig,
-        sweeps=steps,
-        burn_in=burn_in,
+        step_sizes=sig,
         chain_acceptance=accepted_post.sum(axis=1) / (n * steps),
         final=state[0].copy(),
         wall_s=time.perf_counter() - t0,
-        trace=(trace[0] if one else trace) if record_every else None,
+        trace=trace if record_every else None,
     )
     return EmpiricalMeasure(state[0]), diag

@@ -34,7 +34,6 @@ class NiceMeasure:
     quantile: object
     C: float
     analytic_energy: float = None
-    label: str = ""
 
 
 def uniform_nice(a, b):
@@ -54,8 +53,7 @@ def uniform_nice(a, b):
 
     return NiceMeasure(a=a, b=b, density=density, quantile=quantile,
                        C=max(dens, width, 1.0),
-                       analytic_energy=1.5 - np.log(width),
-                       label=f"uniform[{a:g},{b:g}]")
+                       analytic_energy=1.5 - np.log(width))
 
 
 def truncated_dh(lo, law=None):
@@ -80,8 +78,7 @@ def truncated_dh(lo, law=None):
     probe = np.linspace(lo, hi, 2001)
     dvals = density(probe)
     c = max(float(dvals.max()), 1.0 / float(dvals.min()), 1.0)
-    return NiceMeasure(a=lo, b=hi, density=density, quantile=quantile,
-                       C=c, label=f"dh-trunc[{lo:g},{hi:g}]")
+    return NiceMeasure(a=lo, b=hi, density=density, quantile=quantile, C=c)
 
 
 @dataclass(frozen=True)

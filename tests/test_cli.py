@@ -305,6 +305,14 @@ def test_verify_single_fast_criterion(capsys):
     assert "PASS" in out
 
 
+def test_verify_prints_each_criterion_once(capsys):
+    code, out, _ = run(capsys, "verify", "--only", "1,7")
+    assert code == 0
+    for name in ("moment-identity", "proof-lab-uniform"):
+        assert out.count(name) == 1
+    assert "lambert-w-roundtrip" not in out
+
+
 def test_runtime_imports_no_scipy():
     # the runtime needs only numpy; scipy is a test dependency
     code = ("import importlib, pkgutil, sys, biortho\n"

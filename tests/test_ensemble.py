@@ -104,6 +104,16 @@ class TestSampleSpectrum:
         se = m1.std(ddof=1) / np.sqrt(trials)
         assert abs(m1.mean() - expected) <= 3 * se
 
+    def test_exact_first_moment_theta1(self):
+        # E tr(TT*) = n(n-1)/2 + sum c_j = n^2 at theta = 1, b = 1, so the
+        # mean particle of S/n has expectation exactly 1 at every n.  Off
+        # by one in c_j (theta*j + b) shifts it by 1/n, z = +12.7 here; over
+        # 330 seeds the exact sampler read |z| <= 3.55.
+        p = params(n=32, theta=1.0, b=1.0, seed=1)
+        means = np.array([en.sample_spectrum(p, k).points.mean() for k in range(200)])
+        z = (means.mean() - 1.0) / (means.std(ddof=1) / np.sqrt(means.size))
+        assert abs(z) <= 4.0
+
     def test_second_moment_near_dh(self):
         p = params(n=128, seed=12)
         m2 = np.mean([np.mean(en.sample_spectrum(p, k).points ** 2)

@@ -268,6 +268,27 @@ class TestRateJ:
                                     dh_report.minimizer, cfg)[0]
         assert dh_report.kappa == pytest.approx(u, rel=1e-12)
 
+    def test_frostman_flat_on_support(self):
+        # U is the first variation of I, so at the minimizer it is constant
+        # on the support.  The criterion-5 minimizer reads a spread of 0.011
+        # over its 302 interior support nodes, the largest deviations at the
+        # seam of the geometric and uniform parts of the grid (x ~ 0.10-0.15);
+        # 0.02 bounds that resolution effect.  Half the potential spreads by
+        # 1.37 on the same nodes.
+        rep = acceptance._dh_equilibrium()
+        idx = np.flatnonzero(rep.minimizer.weights > 0)
+        u = eq._effective_potential(rep.minimizer.nodes[idx[1:-1]],
+                                    rep.minimizer, dh_cfg())
+        assert np.ptp(u) <= 0.02
+
+    def test_no_lower_potential_off_support(self):
+        # a node off the support would lower the objective if U were below
+        # kappa = U(b_eq) there; the criterion-5 grid reads a margin of 5e-4
+        rep = acceptance._dh_equilibrium()
+        off = rep.minimizer.nodes[rep.minimizer.weights == 0]
+        u = eq._effective_potential(off, rep.minimizer, dh_cfg())
+        assert np.all(u >= rep.kappa)
+
 
 class TestRateIEmpirical:
     def test_hand_value(self):

@@ -59,18 +59,16 @@ class TestPotential:
 class TestGrowthCheck:
     def test_log_gas_passes(self):
         cfg = GasConfig(8, GFunction("log"), Potential.linear(1.0), 1.0)
-        assert check_growth(cfg).passed
+        assert check_growth(cfg) > 1.0
 
     def test_exp_linear_fails(self):
         # log g(x) = x, so V/( (b+1) log g ) = 1/(b+1) < 1 identically
         cfg = GasConfig(8, GFunction("exp"), Potential.linear(1.0), 1.0)
-        rep = check_growth(cfg)
-        assert not rep.passed
-        assert rep.worst_ratio == pytest.approx(0.5, abs=1e-12)
+        assert check_growth(cfg) == pytest.approx(0.5, abs=1e-12)
 
     def test_exp_quadratic_passes(self):
         cfg = GasConfig(8, GFunction("exp"), Potential.polynomial([0, 0, 1]), 1.0)
-        assert check_growth(cfg).passed
+        assert check_growth(cfg) > 1.0
 
 
 class TestMcmc:
@@ -119,8 +117,8 @@ class TestMcmc:
         meas, diag = mcmc_sample(cfg, steps=60, burn_in=40, seed=4, record_every=5)
         assert [float(v).hex() for v in meas.points] == points
         assert float(diag.acceptance_rate).hex() == rate
-        assert [float(v).hex() for v in diag.step_sizes] == steps
-        assert diag.trace.shape == (12, 8)
+        assert [float(v).hex() for v in diag.step_sizes[0]] == steps
+        assert diag.trace.shape == (1, 12, 8)
 
     @pytest.mark.parametrize("g", ["log", "identity", "power"])
     def test_batch_invariance(self, g):
@@ -135,8 +133,8 @@ class TestMcmc:
             assert np.array_equal(np.sort(diag.final[c]), m1.points)
             assert np.array_equal(diag.final[c], d1.final[0])
             assert diag.chain_acceptance[c] == d1.acceptance_rate
-            assert np.array_equal(diag.step_sizes[c], d1.step_sizes)
-            assert np.array_equal(diag.trace[c], d1.trace)
+            assert np.array_equal(diag.step_sizes[c], d1.step_sizes[0])
+            assert np.array_equal(diag.trace[c], d1.trace[0])
         assert np.array_equal(meas.points, np.sort(np.concatenate([m.points for m, _ in singles])))
         assert diag.acceptance_rate == pytest.approx(np.mean(diag.chain_acceptance), abs=1e-15)
         assert isinstance(diag.acceptance_rate, float)
@@ -156,7 +154,21 @@ class TestMcmc:
         assert np.all(meas.points > 0)
         assert np.all(diag.trace > 0)
         assert 0.1 < diag.acceptance_rate < 0.9
-        assert diag.step_sizes.shape == (16,)
+        assert diag.step_sizes.shape == (1, 16)
+
+    def test_exact_first_moment_theta1(self):
+        # the theta = 1, b = 1 gas is the law of the matrix model's S/n, whose
+        # mean particle has expectation exactly 1 (E tr(TT*) = n^2).  The
+        # chains are independent, so the spread of the 20 per-chain means
+        # gives the standard error.  Dropping the log-coordinate Jacobian
+        # ((b-1) dy for b dy) reads z = -78 here; over 130 seeds the exact
+        # sampler read |z| <= 4.35, with one seed of 130 above 4.
+        cfg = GasConfig(8, GFunction("identity"), Potential.linear(1.0), 1.0)
+        _, diag = mcmc_sample(cfg, steps=2000, burn_in=1000, seed=1,
+                              record_every=10, chains=20)
+        means = diag.trace.mean(axis=(1, 2))
+        z = (means.mean() - 1.0) / (means.std(ddof=1) / np.sqrt(means.size))
+        assert abs(z) <= 4.0
 
     def test_two_particle_histogram_vs_quadrature(self):
         # brute-force 2-D quadrature of exp(-2(x+y)) (x-y)^2 on a 50x50 grid
@@ -174,7 +186,7 @@ class TestMcmc:
         cell /= cell.sum()
         _, diag = mcmc_sample(cfg, steps=250_000, burn_in=4000, seed=77,
                               record_every=1)
-        pts = np.vstack([diag.trace, diag.trace[:, ::-1]])
+        pts = np.vstack([diag.trace[0], diag.trace[0, :, ::-1]])
         hist, _, _ = np.histogram2d(pts[:, 0], pts[:, 1], bins=[edges, edges])
         hist /= hist.sum()
         tv = 0.5 * np.abs(hist - cell).sum()
