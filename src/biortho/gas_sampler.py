@@ -21,6 +21,15 @@ is updated by one set of numpy operations on (chains, n) arrays.  Chain c
 draws from its own Philox stream keyed by seed + c, and the arithmetic is
 the single-chain arithmetic in the same order, so each chain is bit for bit
 the single-chain run at key seed + c, whatever the number of chains.
+
+Each sweep forms all proposals up front and copies, per coordinate i, the
+proposal and the current value of x_i and g(x_i) into `centres`, shaped
+(coordinate, [x, g], [new, old], chain).  The current value is exact for
+the whole sweep: only coordinate i's own update changes it.  Step i is then
+one subtraction of the state from `centres[i]` into `gaps`, shaped
+([x, g], [new, old], chain, coordinate), whose flat channels are new x,
+old x, new g, old g; one abs, one log and one row sum over the contiguous
+last axis follow.  The views each step uses are built once per call.
 """
 
 import time
@@ -203,8 +212,10 @@ def mcmc_sample(cfg, steps, burn_in, seed, record_every=0, chains=1):
     record_every > 0 stores every so-many post-burn-in sweeps in the
     diagnostics trace, (chains, records, n).  Chain c draws from
     Philox(key=seed + c) and is bit for bit the single-chain run with that
-    seed.  Every chain starts from the evenly spaced configuration
-    x_i = 2(i + 1/2)/n, i = 0..n-1.
+    seed.  Runs at seeds s and s + 1 therefore share chains - 1 chains, so
+    a sweep over seeds must step them by at least the chain count.  Every
+    chain starts from the evenly spaced configuration x_i = 2(i + 1/2)/n,
+    i = 0..n-1.
     """
     if steps < 1 or burn_in < 1:
         raise ValueError("steps and burn_in must be positive")
@@ -227,13 +238,21 @@ def mcmc_sample(cfg, steps, burn_in, seed, record_every=0, chains=1):
         state[ch] = v
     prop = np.empty_like(state)
     xp, gp, yp, vp = prop
-    gaps = np.empty((4, k, n))     # |new x_i - x|, |new g_i - g|, old ones
-    new_gaps, old_gaps, x_gaps, current = gaps[:2], gaps[2:], gaps[0], state[:2]
-    normals, uniforms = np.empty((k, n)), np.empty((k, n))
+    # centres and gaps as in the module docstring
+    centres = np.empty((n, 2, 2, k))
+    by_channel = centres.transpose(2, 1, 3, 0)
+    gaps = np.empty((2, 2, k, n))
+    new_x_gaps, current, rows = gaps[0, 0], state[:2, None], gaps.reshape(4, k, n)
+    normals, uniforms, log_us, pre = (np.empty((k, n)) for _ in range(4))
     sig = np.full((k, n), 0.5)
     log_sig = np.log(sig)
     accepted = np.zeros((k, n), dtype=bool)
     accepted_post = np.zeros((k, n), dtype=np.int64)
+    close = np.empty((k, n), dtype=bool)
+    sums, delta = np.empty((4, k)), np.empty(k)
+    s_nx, s_ox, s_ng, s_og = sums
+    coords = [(centres[i, ..., None], gaps[..., i], pre[:, i], log_us[:, i],
+               accepted[:, i], state[:, :, i], prop[:, :, i]) for i in range(n)]
     trace = np.empty((k, len(range(0, steps, record_every)) if record_every else 0, n))
 
     with np.errstate(all="ignore"):
@@ -241,32 +260,36 @@ def mcmc_sample(cfg, steps, burn_in, seed, record_every=0, chains=1):
             for rng, z, u in zip(rngs, normals, uniforms):
                 rng.standard_normal(out=z)
                 rng.random(out=u)
-            log_us = np.log(uniforms)
+            np.log(uniforms, out=log_us)
             # coordinate i's proposal depends only on its own log x_i and
             # step size, which no earlier update in the sweep touches
             np.add(state[2], sig * normals, out=yp)
             np.exp(yp, out=xp)
             gp[:] = cfg.g(xp)
             vp[:] = cfg.v(xp)
-            pre = -n * (vp - state[3]) + cfg.b * (yp - state[2])
+            pre[:] = -n * (vp - state[3]) + cfg.b * (yp - state[2])
             # a delta of -inf or nan rejects: proposals that left (0, inf)
             # get it here, those within 1e-14 of another coordinate below
             pre[~(np.isfinite(xp) & (xp > 0.0))] = -np.inf
-            for i in range(n):
-                np.subtract(prop[:2, :, i, None], current, out=new_gaps)
-                np.subtract(current[:, :, i, None], current, out=old_gaps)
+            by_channel[0] = prop[:2]
+            by_channel[1] = state[:2]
+            for centre, own_gaps, pre_i, log_u, acc, state_i, prop_i in coords:
+                np.subtract(centre, current, out=gaps)
                 np.abs(gaps, out=gaps)
-                gaps[:, :, i] = 1.0
-                close = x_gaps <= _COINCIDENCE_TOL
+                own_gaps.fill(1.0)
+                np.less_equal(new_x_gaps, _COINCIDENCE_TOL, out=close)
                 np.log(gaps, out=gaps)
                 if np.count_nonzero(close):
-                    x_gaps[close] = -np.inf
-                s = np.add.reduce(gaps, 2)
+                    new_x_gaps[close] = -np.inf
+                np.add.reduce(rows, 2, out=sums)
                 # the single-chain summation order, term by term
-                delta = pre[:, i] + s[0] - s[2] + s[1] - s[3]
-                acc = np.less(log_us[:, i], delta, out=accepted[:, i])
+                np.add(pre_i, s_nx, out=delta)
+                np.subtract(delta, s_ox, out=delta)
+                np.add(delta, s_ng, out=delta)
+                np.subtract(delta, s_og, out=delta)
+                np.less(log_u, delta, out=acc)
                 if np.count_nonzero(acc):
-                    np.copyto(state[:, :, i], prop[:, :, i], where=acc)
+                    np.copyto(state_i, prop_i, where=acc)
             if sweep < burn_in:
                 log_sig += (sweep + 1.0) ** -0.6 * (accepted - _TARGET_ACCEPT)
                 np.exp(log_sig, out=sig)

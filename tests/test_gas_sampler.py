@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from biortho import ensemble as en
+from biortho import gas_sampler
 from biortho.gas_sampler import (GasConfig, GFunction, Potential, check_growth,
                                  mcmc_sample)
 from biortho.measures import EmpiricalMeasure, w1_distance
@@ -89,10 +90,13 @@ class TestMcmc:
         assert np.array_equal(m1.points, m2.points)
         assert d1.acceptance_rate == d2.acceptance_rate
 
-    # Single-chain outputs recorded before the chains ran in lock-step, with
-    # numpy 2.4.6 on an x86-64 Xeon (AVX-512 dispatch).  numpy's exp and log
-    # may differ in the last bit on another SIMD target, so a mismatch on a
-    # different CPU or numpy build need not mean a change in the sampler.
+    # Single-chain outputs with numpy 2.4.6 on an x86-64 Xeon (AVX-512
+    # dispatch): log and identity recorded before the chains ran in
+    # lock-step, power:2, asinh2 and exp before the coordinate loop shared
+    # one gap subtraction.  numpy's exp and log may differ in the last bit
+    # on another SIMD target, so a mismatch on a different CPU or numpy
+    # build need not mean a change in the sampler.  exp runs on V = x + x^2,
+    # since linear V fails its growth check.
     PARITY_PINS = {
         "log": (["0x1.9f498803d9d2cp-19", "0x1.a3d5eb3ab41d1p-8", "0x1.1ecd4c6ed43ecp-4",
                  "0x1.3410e87d79a47p-3", "0x1.9b64da752be3dp-3", "0x1.9e54745e958f2p-2",
@@ -108,22 +112,49 @@ class TestMcmc:
                      ["0x1.585cab6f23ff4p+1", "0x1.fcd4aee2270d2p+0", "0x1.a70d0a496da9dp+0",
                       "0x1.1bbfc7e1d8911p-1", "0x1.c22672eaa5ecap-1", "0x1.875a3d2512866p-2",
                       "0x1.a4e6159d98928p-2", "0x1.f6b923b74ce3ap-2"]),
+        "power:2": (["0x1.720ce22040cf6p-8", "0x1.3b5baa0aa9088p-4", "0x1.c51ba44e9b88ep-2",
+                     "0x1.4a3983fbf418ep-1", "0x1.3e3eec321d22bp+0", "0x1.6259d2443688cp+0",
+                     "0x1.65be2a9f69dffp+1", "0x1.0b394b17b52bcp+2"],
+                    "0x1.6666666666666p-2",
+                    ["0x1.10f60f6e1d2e4p+1", "0x1.2f48ab7e6e46dp+0", "0x1.c2ab8d3581fdfp+0",
+                     "0x1.c143e6c8598a5p-1", "0x1.7bf65fba0a6fap+0", "0x1.1f70bea88a1dep+0",
+                     "0x1.d2024940d9823p-2", "0x1.247ad2800e743p-1"]),
+        "asinh2": (["0x1.bbb8ad77371cap-8", "0x1.d7b17db52068dp-6", "0x1.6d3772dd20311p-2",
+                    "0x1.a8da588db0985p-2", "0x1.6dd1b880eaca5p-1", "0x1.3b2df135a1d5ap+0",
+                    "0x1.35a4bf52e56d4p+1", "0x1.587788a99775ep+1"],
+                   "0x1.b111111111111p-2",
+                   ["0x1.9786d0428338bp+0", "0x1.cbfac713a979cp-1", "0x1.8cec7f7d0ac4ep+1",
+                    "0x1.814f741418f32p-1", "0x1.617b9e0d0219ap-1", "0x1.53562171f8476p-2",
+                    "0x1.daf7a31218d9bp-2", "0x1.d9464db7a069ep-2"]),
+        "exp": (["0x1.ddf1d2d110768p-7", "0x1.30d6fb41c2413p-5", "0x1.3d2ee411c577cp-3",
+                 "0x1.21b6aacb2b180p-2", "0x1.684851fdfde1bp-2", "0x1.dec1234a63f8cp-2",
+                 "0x1.3fe85980436b7p-1", "0x1.c9518c1e0a90ep-1"],
+                "0x1.5dddddddddddep-2",
+                ["0x1.2fb7ecbbdd1a6p+0", "0x1.74b5625ed14ffp+0", "0x1.4a9236e6b23c6p-1",
+                 "0x1.384de3c9d1ecbp-2", "0x1.39051f705fb6bp+0", "0x1.15e3a6755b04ap+1",
+                 "0x1.350a603cccee2p-1", "0x1.9d35976bad507p-1"]),
     }
+
+    @staticmethod
+    def _gas(n, g):
+        """Gas of n particles with map g (CLI syntax), b = 1 and V = x, or
+        V = x + x^2 for exp, which linear V does not confine."""
+        v = Potential.polynomial([0, 1, 1]) if g == "exp" else Potential.linear(1.0)
+        return GasConfig(n, GFunction.parse(g), v, 1.0)
 
     @pytest.mark.parametrize("g", sorted(PARITY_PINS))
     def test_parity_pin(self, g):
         points, rate, steps = self.PARITY_PINS[g]
-        cfg = GasConfig(8, GFunction(g), Potential.linear(1.0), 1.0)
+        cfg = self._gas(8, g)
         meas, diag = mcmc_sample(cfg, steps=60, burn_in=40, seed=4, record_every=5)
         assert [float(v).hex() for v in meas.points] == points
         assert float(diag.acceptance_rate).hex() == rate
         assert [float(v).hex() for v in diag.step_sizes[0]] == steps
         assert diag.trace.shape == (1, 12, 8)
 
-    @pytest.mark.parametrize("g", ["log", "identity", "power"])
+    @pytest.mark.parametrize("g", ["log", "identity", "power", "asinh2", "exp"])
     def test_batch_invariance(self, g):
-        cfg = GasConfig(7, GFunction(g, 2.0 if g == "power" else 1.0),
-                        Potential.linear(1.0), 1.0)
+        cfg = self._gas(7, "power:2" if g == "power" else g)
         meas, diag = mcmc_sample(cfg, steps=50, burn_in=30, seed=11, record_every=4,
                                  chains=3)
         assert diag.final.shape == (3, 7) and diag.trace.shape == (3, 13, 7)
@@ -138,6 +169,15 @@ class TestMcmc:
         assert np.array_equal(meas.points, np.sort(np.concatenate([m.points for m, _ in singles])))
         assert diag.acceptance_rate == pytest.approx(np.mean(diag.chain_acceptance), abs=1e-15)
         assert isinstance(diag.acceptance_rate, float)
+
+    def test_coincidence_rejection(self, monkeypatch):
+        # with every gap "within tolerance" of another coordinate, each
+        # proposal is rejected and the chains never leave the start
+        monkeypatch.setattr(gas_sampler, "_COINCIDENCE_TOL", 1e300)
+        cfg = GasConfig(4, GFunction("log"), Potential.linear(1.0), 1.0)
+        _, diag = mcmc_sample(cfg, steps=20, burn_in=10, seed=3, chains=2)
+        assert diag.acceptance_rate == 0.0
+        assert np.array_equal(diag.final, [[0.25, 0.75, 1.25, 1.75]] * 2)
 
     def test_chains_and_wall_time(self):
         cfg = GasConfig(4, GFunction("log"), Potential.linear(1.0), 1.0)
