@@ -10,6 +10,7 @@ byte-identical for identical inputs.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -341,7 +342,10 @@ def _solver_flags(tol):
     return p
 
 
+@functools.cache
 def build_parser():
+    """The one parser of the process: parse_args keeps no state between
+    calls, so dispatch reuses it instead of rebuilding every subparser."""
     p = _Parser(prog="biortho",
                 description="numerical laboratory for biorthogonal ensembles")
     sub = p.add_subparsers(dest="cmd")

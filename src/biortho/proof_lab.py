@@ -135,30 +135,42 @@ class RatioStats:
 _PAIR_BLOCK = 1 << 17    # values per block of rows: 1 MB of float64
 
 
+def _row_blocks(n):
+    """Row ranges [j0, j1) of an n x n pair quantity, each about
+    _PAIR_BLOCK values, so a block stays in cache and no n x n array is made."""
+    rows = max(1, _PAIR_BLOCK // n)
+    return [(j0, min(j0 + rows, n)) for j0 in range(0, n, rows)]
+
+
 def _lower_pairs(block, n):
     """All pairs i < j of an n x n pair quantity, in the row-major order of
     m[np.tri(n, k=-1, dtype=bool)].  block(j0, j1) gives rows j0 <= j < j1
-    over columns i < j1; rows go in blocks of about _PAIR_BLOCK values, so
-    each block stays in cache and no n x n array is made."""
+    over columns i < j1, for the _row_blocks ranges."""
     out = np.empty(n * (n - 1) // 2)
-    rows = max(1, _PAIR_BLOCK // n)
     start = 0
-    for j0 in range(0, n, rows):
-        j1 = min(j0 + rows, n)
+    for j0, j1 in _row_blocks(n):
         vals = block(j0, j1)[np.tri(j1 - j0, j1, k=j0 - 1, dtype=bool)]
         out[start:start + vals.size] = vals
         start += vals.size
     return out
 
 
-def _pair_ratio_matrix(a, c, d):
-    """(a_j - a_{i-1})/(d_j - c_i) over pairs i < j, in _lower_pairs order."""
-    def block(j0, j1):
-        numer = a[j0 + 1:j1 + 1, None] - a[None, :j1]
-        numer /= d[j0:j1, None] - c[None, :j1]
-        return numer
-
-    return _lower_pairs(block, c.size)
+def _ratio_max_count(a, c, d, bound):
+    """Max of (a_j - a_{i-1})/(d_j - c_i) over pairs i < j, and how many of
+    those ratios are <= bound, reduced block by block over _row_blocks.
+    Columns i < j0 lie below the diagonal for every row of a block; only
+    the block's diagonal square is masked.  A max and a count do not depend
+    on order, so both are exact at any block size."""
+    tops, count = [], 0
+    for j0, j1 in _row_blocks(c.size):
+        r = a[j0 + 1:j1 + 1, None] - a[None, :j1]
+        r /= d[j0:j1, None] - c[None, :j1]
+        left, square = r[:, :j0], r[:, j0:]
+        below = np.tri(j1 - j0, k=-1, dtype=bool)
+        tops += [left.max(initial=-np.inf), square.max(where=below, initial=-np.inf)]
+        count += int(np.count_nonzero(left <= bound))
+        count += int(np.count_nonzero((square <= bound) & below))
+    return float(np.max(tops)), count
 
 
 def ratio_statistics(grid, g, eps):
@@ -167,16 +179,13 @@ def ratio_statistics(grid, g, eps):
     if eps <= 0:
         raise ValueError("eps must be positive")
     n = grid.n
-    r = _pair_ratio_matrix(grid.a, grid.c, grid.d)
-    rg = _pair_ratio_matrix(np.asarray(g(grid.a), dtype=float),
-                            np.asarray(g(grid.c), dtype=float),
-                            np.asarray(g(grid.d), dtype=float))
-    return RatioStats(
-        a_max=float(r.max()),
-        a_max_g=float(rg.max()),
-        fraction=float(2.0 * np.sum(r <= 1.0 + eps) / n ** 2),
-        fraction_g=float(2.0 * np.sum(rg <= 1.0 + eps) / n ** 2),
-    )
+    top, count = _ratio_max_count(grid.a, grid.c, grid.d, 1.0 + eps)
+    top_g, count_g = _ratio_max_count(np.asarray(g(grid.a), dtype=float),
+                                      np.asarray(g(grid.c), dtype=float),
+                                      np.asarray(g(grid.d), dtype=float), 1.0 + eps)
+    return RatioStats(a_max=top, a_max_g=top_g,
+                      fraction=2.0 * count / n ** 2,
+                      fraction_g=2.0 * count_g / n ** 2)
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,24 @@ class TestDispatch:
         assert code == 1
         assert "error" in err
 
+    def test_dispatches_share_no_state(self, tmp_path, capsys):
+        # one parser serves every dispatch of the process: no flag, default
+        # or error of one request may reach the next
+        assert cli.build_parser() is cli.build_parser()
+        csv = run(capsys, "dh", "cdf", "--csv", "--grid-points", "5")
+        assert csv[0] == 0 and len(csv[1].splitlines()) == 6
+        code, out, _ = run(capsys, "dh", "cdf", "--x", "1.0")
+        assert code == 0 and out == f"{dh_law.default_law().cdf(1.0):.17g}\n"
+        assert run(capsys, "lambertw", "--bogus", "1")[0] == 1
+        assert run(capsys, "lambertw", "--z", "1,0")[0] == 0
+        for chains in (3, 1):
+            out = tmp_path / f"gas{chains}.csv"
+            code, _, _ = run(capsys, "sample-gas", "--n", "4", "--steps", "20",
+                             "--burn-in", "10", "--chains", str(chains),
+                             "--out", str(out))
+            assert code == 0 and len(out.read_text().splitlines()) == chains + 1
+        assert run(capsys, "dh", "cdf", "--csv", "--grid-points", "5") == csv
+
 
 class TestDhCommand:
     def test_moment_exact(self, capsys):

@@ -1,5 +1,6 @@
-"""No unused top-level imports and no public name that only its own
-definition or the tests use, in the package (no lint tool is installed)."""
+"""No unused top-level imports, and no public name or private top-level
+function that only its own definition or the tests use, in the package (no
+lint tool is installed)."""
 
 import ast
 from pathlib import Path
@@ -71,6 +72,14 @@ def public_definitions(source):
     return names
 
 
+def private_functions(source):
+    """Names of private (single-underscore) top-level functions, in source
+    order."""
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+            and not node.name.startswith("__")]
+
+
 def used_names(source):
     """Names read as a bare name or an attribute, or imported by name,
     anywhere in the source, except inside the definition that binds the
@@ -93,26 +102,39 @@ def used_names(source):
     return used
 
 
-def uncalled_public(sources):
-    """Public definitions (see public_definitions) that no package source
-    names outside their own definition."""
+def uncalled(sources, definitions):
+    """Names that definitions(source) lists for some package source and
+    that no package source names outside their own definition."""
     used = set().union(*(used_names(src) for src in sources))
-    return [name for src in sources for name in public_definitions(src)
+    return [name for src in sources for name in definitions(src)
             if name.rsplit(".", 1)[-1] not in used]
 
 
 def test_uncalled_checker():
-    lib = ("def used():\n    return 1\n"
+    lib = ("def used():\n    return _helper()\n"
            "def orphan():\n    return orphan()\n"
-           "def _private():\n    pass\n"
+           "def _helper():\n    return 1\n"
+           "def _private():\n    return _private()\n"
+           "def __getattr__(name):\n    pass\n"
            "class Box:\n"
            "    def get(self):\n        return self.get\n"
-           "    def put(self):\n        pass\n")
+           "    def put(self):\n        pass\n"
+           "    def _hidden(self):\n        pass\n")
     caller = "from .lib import used, Box\nBox().put(used())\n"
-    assert uncalled_public([lib, caller]) == ["orphan", "Box.get"]
+    assert uncalled([lib, caller], public_definitions) == ["orphan", "Box.get"]
+    assert uncalled([lib, caller], private_functions) == ["_private"]
 
 
-def test_no_public_name_only_tests_call():
-    sources = [path.read_text() for path in sorted(SRC.glob("*.py"))]
-    assert sources
-    assert set(uncalled_public(sources)) - UNCALLED_ALLOWED == set()
+@pytest.fixture(scope="module")
+def sources():
+    texts = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    assert texts
+    return texts
+
+
+def test_no_public_name_only_tests_call(sources):
+    assert set(uncalled(sources, public_definitions)) - UNCALLED_ALLOWED == set()
+
+
+def test_no_private_function_only_tests_call(sources):
+    assert uncalled(sources, private_functions) == []

@@ -7,6 +7,20 @@ from biortho import proof_lab as pl
 from biortho.gas_sampler import GFunction
 
 
+def full_gather_fields(grid, g, eps):
+    """RatioStats fields from one n x n gather of every pair i < j: the
+    reference the blocked reduction must match bit for bit."""
+    n = grid.n
+    fields = []
+    for a, c, d in ((grid.a, grid.c, grid.d), (g(grid.a), g(grid.c), g(grid.d))):
+        full = (a[1:][:, None] - a[:-1][None, :]) / (d[:, None] - c[None, :])
+        fields.append(full[np.tri(n, k=-1, dtype=bool)])
+    r, rg = fields
+    return [float(r.max()), float(rg.max()),
+            float(2.0 * np.sum(r <= 1.0 + eps) / n ** 2),
+            float(2.0 * np.sum(rg <= 1.0 + eps) / n ** 2)]
+
+
 @pytest.fixture(scope="module")
 def uniform12():
     return pl.uniform_nice(1.0, 2.0)
@@ -152,10 +166,11 @@ class TestParity:
         rng = np.random.default_rng(n)
         a = np.cumsum(rng.uniform(0.5, 2.0, n + 1))
         gap = np.diff(a)
-        c, d = a[:-1] + gap / 3.0, a[1:] - gap / 3.0
-        full = (a[1:][:, None] - a[:-1][None, :]) / (d[:, None] - c[None, :])
-        assert np.array_equal(pl._pair_ratio_matrix(a, c, d),
-                              full[np.tri(n, k=-1, dtype=bool)])
+        grid = pl.QuantileGrid(a=a, c=a[:-1] + gap / 3.0, d=a[1:] - gap / 3.0)
+        g = GFunction("log")
+        stats = pl.ratio_statistics(grid, g, 0.1)
+        assert [stats.a_max, stats.a_max_g, stats.fraction, stats.fraction_g] == \
+            full_gather_fields(grid, g, 0.1)
 
 
 class TestEnergyGap:

@@ -1,7 +1,7 @@
 """Property tests: the Lambert W round trip off the cut and its cut
 identity, the DH quantile's round trip and order, the W1 metric axioms,
-d_BL <= W1 on small empirical measures, and the proof-lab Riemann sums at
-any block size.  Skipped when hypothesis is not installed."""
+d_BL <= W1 on small empirical measures, and the proof-lab Riemann sums and
+ratio statistics at any block size.  Skipped when hypothesis is not installed."""
 
 import numpy as np
 import pytest
@@ -93,3 +93,28 @@ def test_riemann_sum_block_invariant(widths, pair_block):
     finally:
         proof_lab._PAIR_BLOCK = old
     assert s == float(full.sum() / n ** 2)
+
+
+@settings(deadline=None)
+@given(st.lists(st.floats(min_value=1e-3, max_value=10.0), min_size=3, max_size=60),
+       st.integers(min_value=1, max_value=200),
+       st.floats(min_value=1e-3, max_value=1.0))
+def test_ratio_statistics_block_invariant(widths, pair_block, eps):
+    # max and count of the one-shot n x n gather, bit for bit, at any block size
+    a = 1.0 + np.cumsum(widths)
+    gap = np.diff(a)
+    grid = proof_lab.QuantileGrid(a=a, c=a[:-1] + gap / 3.0, d=a[1:] - gap / 3.0)
+    n = grid.n
+    g = GFunction("log")
+    expected = []
+    for x, c, d in ((grid.a, grid.c, grid.d), (g(grid.a), g(grid.c), g(grid.d))):
+        r = ((x[1:][:, None] - x[:-1][None, :]) / (d[:, None] - c[None, :]))[
+            np.tri(n, k=-1, dtype=bool)]
+        expected += [float(r.max()), float(2.0 * np.sum(r <= 1.0 + eps) / n ** 2)]
+    old = proof_lab._PAIR_BLOCK
+    proof_lab._PAIR_BLOCK = pair_block
+    try:
+        stats = proof_lab.ratio_statistics(grid, g, eps)
+    finally:
+        proof_lab._PAIR_BLOCK = old
+    assert [stats.a_max, stats.fraction, stats.a_max_g, stats.fraction_g] == expected
