@@ -45,7 +45,7 @@ def _dh_equilibrium():
 @functools.cache
 def _dh_equilibrium_deep():
     """Reference objective for criterion 9: the [1e-4, ...] grid floor
-    inflates the objective by ~0.13 (it cannot spread the ~11% of mass that
+    inflates the objective by ~0.13 (it cannot spread the ~13% of mass that
     lives below 1e-4), so the consistency comparison uses a grid reaching
     1e-8, whose objective is within ~0.02 of the continuum optimum."""
     grid = equilibrium.make_grid(600, 1e-8, 4.0, geo_fraction=0.5)

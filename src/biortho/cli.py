@@ -304,7 +304,7 @@ def _cmd_verify(args):
     only = None
     if args.only:
         only = {int(v) for v in args.only.split(",")}
-    print(f"{'':>4} {'criterion':<28} {'result':<6} {'time':>8}  detail")
+    print(f"{'':>4} {'criterion':<28} {'result':<6} {'time':>9}  detail")
     ok = True
     for idx, _, _ in acceptance.CRITERIA:
         if only and idx not in only:
@@ -312,7 +312,7 @@ def _cmd_verify(args):
         r = acceptance.run_criterion(idx)
         ok &= r.passed
         status = "PASS" if r.passed else "FAIL"
-        print(f"{r.index:>4} {r.name:<28} {status:<6} {r.seconds:>7.1f}s  {r.detail}")
+        print(f"{r.index:>4} {r.name:<28} {status:<6} {r.seconds:>8.3f}s  {r.detail}")
     print()
     print("all criteria passed" if ok else "FAILURES PRESENT")
     return 0 if ok else 1

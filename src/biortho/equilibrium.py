@@ -171,6 +171,7 @@ def minimize_I(cfg, grid, tol=1e-6, max_iter=200_000, w0=None):
         w = w / w.sum()
     s = np.flatnonzero(w > 0)
     inv = _saddle_inverse(mat, s)
+    scratch = np.empty((m + 1) ** 2)          # _drop_slot's outer products
     grad = mat @ w + vv
     obj = 0.5 * float(w @ (grad + vv))
     kkt = _kkt(grad, w)
@@ -195,7 +196,7 @@ def minimize_I(cfg, grid, tol=1e-6, max_iter=200_000, w0=None):
             w[s] = np.maximum(ws, 0.0)
             # descending, so each swap brings a staying node into the slot
             for p in np.flatnonzero(w[s] == 0)[::-1]:
-                s = _drop_slot(inv, s, p)
+                s = _drop_slot(inv, s, p, scratch)
         else:
             w[s] = z
         grad = mat @ w + vv
@@ -234,16 +235,20 @@ def _face_residual(mat, vv, s, y):
     return max(float(np.abs(r).max()), abs(float(y[1:].sum()) - 1.0))
 
 
-def _drop_slot(inv, s, p):
+def _drop_slot(inv, s, p, scratch):
     """Delete node slot p from the face: swap it into the last live slot of
     the inverse, then apply the rank-one deletion B - B[:,j] B[j,:] / B[j,j]
-    to the leading block, in place.  Returns the face shortened by one."""
+    to the leading block, in place.  The outer product goes to the first
+    k*k entries of the flat scratch, contiguous: a strided block of an
+    (m+1) x (m+1) array is slower to write and read than a fresh array.
+    Returns the face shortened by one."""
     k = s.size
     inv[[p + 1, k], :k + 1] = inv[[k, p + 1], :k + 1]
     inv[:k + 1, [p + 1, k]] = inv[:k + 1, [k, p + 1]]
     s[[p, k - 1]] = s[[k - 1, p]]
     live = inv[:k, :k]
-    live -= np.outer(inv[:k, k], inv[k, :k] / inv[k, k])
+    live -= np.outer(inv[:k, k], inv[k, :k] / inv[k, k],
+                     out=scratch[:k * k].reshape(k, k))
     return s[:k - 1]
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -321,6 +322,8 @@ def test_verify_single_fast_criterion(capsys):
     assert code == 0
     assert "moment-identity" in out
     assert "PASS" in out
+    # seconds to the millisecond: criterion 7 takes about 0.04 s
+    assert re.search(r"^ +1 moment-identity +PASS +\d+\.\d{3}s  ", out, re.M)
 
 
 def test_verify_prints_each_criterion_once(capsys):

@@ -185,8 +185,8 @@ class TestMinimize:
         kept = eq.minimize_I(dh_cfg(), grid, tol=1e-12)
         drop_slot = eq._drop_slot
 
-        def corrupt(inv, s, p):
-            s = drop_slot(inv, s, p)
+        def corrupt(inv, s, p, scratch):
+            s = drop_slot(inv, s, p, scratch)
             inv[1, 1] += 1e-6
             return s
 

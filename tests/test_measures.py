@@ -38,6 +38,18 @@ def bl_lp(a, b):
     return max(float(np.dot(f, delta)), 0.0)
 
 
+def w1_potential_range(a, b):
+    """max - min of the W1 maximizer, the running sum of -sign(F_a - F_b)
+    over the support gaps; d_BL = W1 exactly when it is at most 2."""
+    xa, wa = mm.support_and_weights(a)
+    xb, wb = mm.support_and_weights(b)
+    x = np.concatenate([xa, xb])
+    order = np.argsort(x, kind="stable")
+    cdf_gap = np.cumsum(np.concatenate([wa, -wb])[order])[:-1]
+    f = np.cumsum(np.concatenate([[0.0], -np.sign(cdf_gap) * np.diff(x[order])]))
+    return float(f.max() - f.min())
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(123)
@@ -151,6 +163,39 @@ class TestBoundedLipschitz:
                 a = mm.GridMeasure(nodes, rng.dirichlet(np.ones(nodes.size)))
             b = mm.EmpiricalMeasure(xb)
             assert abs(mm.bl_distance(a, b) - bl_lp(a, b)) <= 1e-12
+
+    def test_w1_when_potential_fits(self):
+        # atoms alternately 0.4 left and right of the integers 0..9 zigzag
+        # the W1 potential within 0.4 over a support of span 9.8
+        k = np.arange(10.0)
+        a = mm.EmpiricalMeasure(k)
+        b = mm.EmpiricalMeasure(k + 0.4 * (-1.0) ** k)
+        assert np.ptp(np.concatenate([a.points, b.points])) > 2.0
+        assert w1_potential_range(a, b) <= 2.0
+        bl = mm.bl_distance(a, b)
+        assert abs(bl - mm.w1_distance(a, b)) <= 1e-15
+        assert abs(bl - bl_lp(a, b)) <= 1e-12
+
+    def test_bound_binding_matches_lp(self, rng):
+        # only cases whose W1 potential oscillates by more than 2, where
+        # |f| <= 1 binds and the dynamic program answers
+        checked = 0
+        for k in range(200):
+            scale = 10.0 ** rng.uniform(0.0, np.log10(30.0))
+            xa = rng.random(rng.integers(1, 30)) * scale
+            xb = rng.random(rng.integers(1, 30)) * scale + rng.uniform(-1.0, 1.0)
+            if k % 3 == 0:                      # shared atoms
+                xb = np.concatenate([xb, xa[: rng.integers(1, xa.size + 1)]])
+            a = mm.EmpiricalMeasure(xa)
+            if k % 2:
+                nodes = np.unique(xa)
+                a = mm.GridMeasure(nodes, rng.dirichlet(np.ones(nodes.size)))
+            b = mm.EmpiricalMeasure(xb)
+            if w1_potential_range(a, b) <= 2.0:
+                continue
+            checked += 1
+            assert abs(mm.bl_distance(a, b) - bl_lp(a, b)) <= 1e-12
+        assert checked >= 100
 
     def test_criterion_7_configuration_matches_lp(self):
         sigma = proof_lab.uniform_nice(1.0, 2.0)

@@ -1,7 +1,8 @@
 """Property tests: the Lambert W round trip off the cut and its cut
 identity, the DH quantile's round trip and order, the W1 metric axioms,
-d_BL <= W1 on small empirical measures, and the proof-lab Riemann sums and
-ratio statistics at any block size.  Skipped when hypothesis is not installed."""
+d_BL <= W1 on small empirical measures and d_BL = W1 on a span of at most
+2, and the proof-lab Riemann sums and ratio statistics at any block size.
+Skipped when hypothesis is not installed."""
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from biortho.measures import EmpiricalMeasure, bl_distance, w1_distance  # noqa:
 LEVELS = st.floats(min_value=2e-3, max_value=1.0 - 1e-9)
 MEASURES = st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=1,
                     max_size=12).map(EmpiricalMeasure)
+SHORT_SPAN = st.lists(st.floats(min_value=0.0, max_value=2.0), min_size=1, max_size=12)
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +76,16 @@ def test_w1_metric_axioms(a, b, c):
 @example(EmpiricalMeasure([0.0]), EmpiricalMeasure([1.999999999]))   # W1 just below 2
 def test_bl_below_w1(a, b):
     assert bl_distance(a, b) <= w1_distance(a, b) + 1e-12
+
+
+@settings(deadline=None)
+@given(st.floats(min_value=-100.0, max_value=100.0), SHORT_SPAN, SHORT_SPAN)
+def test_bl_equals_w1_on_short_span(base, xa, xb):
+    # a potential with slopes +-1 on a span of at most 2 fits in [-1, 1]
+    a, b = EmpiricalMeasure(base + np.array(xa)), EmpiricalMeasure(base + np.array(xb))
+    both = np.concatenate([a.points, b.points])
+    assume(both.max() - both.min() <= 2.0)
+    assert abs(bl_distance(a, b) - w1_distance(a, b)) <= 1e-12
 
 
 @settings(deadline=None)
