@@ -267,7 +267,7 @@ def _cmd_quantile_check(args):
     else:
         raise ValueError(f"unknown distribution {args.dist!r}")
     g = GFunction.parse(args.g)
-    if g.kind == "identity" and name == "uniform":
+    if g.kind == "identity":
         e_half_g = e_half
     else:
         e_half_g = 0.5 * proof_lab.nice_energy(sigma, g, n0=512, tol=1e-5,
@@ -289,6 +289,7 @@ def _cmd_quantile_check(args):
         "a_max_g": stats.a_max_g,
         "fraction": stats.fraction,
         "fraction_g": stats.fraction_g,
+        "ratios_evaluated": stats.evaluated,
         "gap": gaps.gap,
         "gap_g": gaps.gap_g,
         "bl_value": bl_val,

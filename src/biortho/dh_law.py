@@ -33,6 +33,7 @@ of the mass sits below 0.01) and vanishes like sqrt(e - x) at the right
 edge.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -157,18 +158,24 @@ class DHLaw:
     """Evaluator bundle for the Dykema-Haagerup distribution.
 
     The CDF and quantile are closed-form in the cut parameter delta (see the
-    module docstring) and need no table; construction builds only the
-    Gauss-Legendre rule that `moment_numeric` uses.  Instances are read-only
-    afterwards and safe to share across workers.  `total_mass` is exactly 1.
+    module docstring) and need no table, so construction builds nothing; the
+    Gauss-Legendre rule that `moment_numeric` uses is built on its first
+    call and kept.  The rule is the same whichever thread builds it, so
+    instances are safe to share across workers.  `total_mass` is exactly 1.
     """
 
     total_mass = 1.0
 
     def __init__(self):
+        """Nothing to build: the moment rule is made on first use."""
+
+    @functools.cached_property
+    def _moment_rule(self):
+        """(log x(delta), weight) at the _MOMENT_NODES Gauss-Legendre nodes
+        in delta over (0, pi), the weight carrying dF/ddelta."""
         nodes, weights = np.polynomial.legendre.leggauss(_MOMENT_NODES)
         d = 0.5 * np.pi * (nodes + 1.0)
-        self._moment_log_x = _log_x(d)
-        self._moment_weight = 0.5 * np.pi * weights * _cdf_slope(d)
+        return _log_x(d), 0.5 * np.pi * weights * _cdf_slope(d)
 
     # -- pointwise ---------------------------------------------------------
 
@@ -227,14 +234,15 @@ class DHLaw:
 
     def moment_numeric(self, k):
         """k-th moment, k up to 12, by the fixed Gauss-Legendre rule in delta
-        built at construction: sum of weight * x(delta)^k."""
+        (built on the first call): sum of weight * x(delta)^k."""
         k = int(k)
         if k < 0:
             raise ValueError("moment order must be >= 0")
         if k > 12:
             raise ValueError("moment_numeric supports k <= 12")
+        log_x, weight = self._moment_rule
         with np.errstate(under="ignore"):
-            vals = self._moment_weight * np.exp(k * self._moment_log_x)
+            vals = weight * np.exp(k * log_x)
         return float(vals.sum())
 
 

@@ -9,6 +9,10 @@ runs on: the spacing bounds 1/(Cn) <= a_{k+1}-a_k <= C/n, the bounded ratio
 below 1+eps, the Riemann-sum lower bounds for the two halves of the
 logarithmic energy, and the bounded-Lipschitz distance between any
 configuration from the central-thirds box and sigma itself.
+
+The ratio statistics divide only a band of near-diagonal pairs: an exact
+bound, with half of eps kept for rounding, certifies every farther pair of
+a row below 1+eps at once (see ratio_statistics).
 """
 
 from dataclasses import dataclass
@@ -124,68 +128,127 @@ def check_spacing_bounds(grid, big_c):
 
 @dataclass(frozen=True)
 class RatioStats:
-    """Pairwise ratio statistics for the plain and g-mapped grids."""
+    """Pairwise ratio statistics for the plain and g-mapped grids, and how
+    many ratios were divided to get them (both maps together)."""
 
     a_max: float
     a_max_g: float
     fraction: float
     fraction_g: float
+    evaluated: int
 
 
-_PAIR_BLOCK = 1 << 17    # values per block of rows: 1 MB of float64
-
-
-def _row_blocks(n):
-    """Row ranges [j0, j1) of an n x n pair quantity, each about
-    _PAIR_BLOCK values, so a block stays in cache and no n x n array is made."""
-    rows = max(1, _PAIR_BLOCK // n)
-    return [(j0, min(j0 + rows, n)) for j0 in range(0, n, rows)]
+_PAIR_BLOCK = 1 << 17    # pair values per block: 1 MB of float64
 
 
 def _lower_pairs(block, n):
     """All pairs i < j of an n x n pair quantity, in the row-major order of
     m[np.tri(n, k=-1, dtype=bool)].  block(j0, j1) gives rows j0 <= j < j1
-    over columns i < j1, for the _row_blocks ranges."""
+    over columns i < j1, for row ranges of about _PAIR_BLOCK values, so a
+    block stays in cache and no n x n array is made."""
     out = np.empty(n * (n - 1) // 2)
     start = 0
-    for j0, j1 in _row_blocks(n):
+    rows = max(1, _PAIR_BLOCK // n)
+    for j0 in range(0, n, rows):
+        j1 = min(j0 + rows, n)
         vals = block(j0, j1)[np.tri(j1 - j0, j1, k=j0 - 1, dtype=bool)]
         out[start:start + vals.size] = vals
         start += vals.size
     return out
 
 
-def _ratio_max_count(a, c, d, bound):
-    """Max of (a_j - a_{i-1})/(d_j - c_i) over pairs i < j, and how many of
-    those ratios are <= bound, reduced block by block over _row_blocks.
-    Columns i < j0 lie below the diagonal for every row of a block; only
-    the block's diagonal square is masked.  A max and a count do not depend
-    on order, so both are exact at any block size."""
-    tops, count = [], 0
-    for j0, j1 in _row_blocks(c.size):
-        r = a[j0 + 1:j1 + 1, None] - a[None, :j1]
-        r /= d[j0:j1, None] - c[None, :j1]
-        left, square = r[:, :j0], r[:, j0:]
-        below = np.tri(j1 - j0, k=-1, dtype=bool)
-        tops += [left.max(initial=-np.inf), square.max(where=below, initial=-np.inf)]
-        count += int(np.count_nonzero(left <= bound))
-        count += int(np.count_nonzero((square <= bound) & below))
-    return float(np.max(tops)), count
+def _band_max_count(a, c, d, width, bound):
+    """Max of the ratios (a_{j+1} - a_i)/(d_j - c_i) over the band of the
+    last width_j pairs i < j of each row j, how many are <= bound, and the
+    band size.  The band is walked in row-major order, _PAIR_BLOCK pairs at
+    a time."""
+    ends = width.cumsum()
+    starts = ends - width
+    shift = ends - np.arange(c.size)     # pair p of row j has i = p - shift_j
+    a1, total = a[1:], int(ends[-1])
+    top, count = -np.inf, 0
+    for p0 in range(0, total, _PAIR_BLOCK):
+        p1 = min(p0 + _PAIR_BLOCK, total)
+        j0, j1 = ends.searchsorted(p0, "right"), starts.searchsorted(p1)
+        k = np.minimum(ends[j0:j1], p1) - np.maximum(starts[j0:j1], p0)
+        i = np.arange(p0, p1) - shift[j0:j1].repeat(k)
+        r = a1[j0:j1].repeat(k) - a.take(i)
+        r /= d[j0:j1].repeat(k) - c.take(i)
+        top = np.maximum(top, r.max())
+        count += int(np.count_nonzero(r <= bound))
+    return float(top), count, total
+
+
+def _ratio_max_count(a, c, d, eps):
+    """Max pair ratio, how many ratios are <= 1 + eps, and how many were
+    divided: the certified prefix of each row is counted without dividing
+    (see ratio_statistics)."""
+    bound, h = 1.0 + eps, 0.5 * eps
+    rows = np.arange(c.size)             # row j holds the j pairs i < j
+    width = rows
+    if h >= 2.0 ** -50 and (c[:-1] <= c[1:]).all():     # h >= 8u, c sorted
+        s = np.maximum(a[1:] - d, 0.0) + max((c - a[:-1]).max(), 0.0)
+        t = np.nextafter(d - s / h, -np.inf)
+        t = np.fmax(t, -np.inf)          # a nan threshold certifies nothing
+        lo = np.minimum(c.searchsorted(t, "right"), rows)
+        width = rows - lo
+    top, count, evaluated = _band_max_count(a, c, d, width, bound)
+    if top >= bound:
+        return top, count + c.size * (c.size - 1) // 2 - evaluated, evaluated
+    top, count, rerun = _band_max_count(a, c, d, rows, bound)
+    return top, count, evaluated + rerun
 
 
 def ratio_statistics(grid, g, eps):
     """Max pair ratio and the fraction (2/n^2-normalized) of pairs with
-    ratio <= 1 + eps, for the grid and for its image under g."""
+    ratio <= 1 + eps, for the grid and for its image under g, and
+    `evaluated`, the number of ratios divided to find them.
+
+    Most pairs need no division.  For i < j, on the float inputs exactly,
+
+        (a_{j+1} - a_i) - (d_j - c_i) = E_j + F_i,
+        E_j = a_{j+1} - d_j,   F_i = c_i - a_i,
+
+    so the ratio r satisfies r - 1 <= (E_j + F*)/(d_j - c_i) with
+    F* = max F.  Let h = eps/2.  d_j - c_i falls as i grows (c is
+    nondecreasing), so the pairs with (E_j + F*)/(d_j - c_i) <= h form a
+    prefix i < lo_j of row j, and one searchsorted of
+    t_j = d_j - (E_j + F*)/h in c gives every lo_j.  Those pairs are counted
+    as <= 1 + eps without dividing; only the band lo_j <= i < j is divided,
+    with the same subtract-subtract-divide as a full n x n gather.
+
+    The other half of eps covers the rounding.  Let u = 2^-53 and assume no
+    underflow or overflow.  E_j and F* come from their computed differences
+    (clipped at 0), so E_j + F_i <= s_j/(1-u)^2 for the computed sum s_j.
+    t_j is the computed d_j - s_j/h stepped down one ulp, so c_i <= t_j gives
+    d_j - c_i >= fl(s_j/h) >= (1-u) s_j/h exactly, and r <= 1 + h/(1-u)^3.
+    Rounding num, den and the division gives at most r (1+u)^2/(1-u), which
+    stays below the computed bound fl(1 + eps) >= (1 + 2h)(1 - u) whenever
+    h >= 8u.  For smaller eps, or where c decreases, the prefix is empty
+    and every pair is divided.
+
+    Every certified ratio is <= fl(1 + eps), so a band max at or above that
+    bound is the global max.  Otherwise (e.g. eps >= 0.5 on a uniform grid,
+    whose adjacent ratios are all 3/2) the same walk runs again with
+    lo_j = 0 and gives both the max and the count.  A max and a count do
+    not depend on order, so every field is bit-identical to the full gather
+    at any _PAIR_BLOCK.  When g leaves a, c and d unchanged the g fields are
+    the plain ones and nothing more is divided.
+    """
     if eps <= 0:
         raise ValueError("eps must be positive")
     n = grid.n
-    top, count = _ratio_max_count(grid.a, grid.c, grid.d, 1.0 + eps)
-    top_g, count_g = _ratio_max_count(np.asarray(g(grid.a), dtype=float),
-                                      np.asarray(g(grid.c), dtype=float),
-                                      np.asarray(g(grid.d), dtype=float), 1.0 + eps)
+    plain = (grid.a, grid.c, grid.d)
+    top, count, evaluated = _ratio_max_count(*plain, eps)
+    image = [np.asarray(g(x), dtype=float) for x in plain]
+    if all(map(np.array_equal, image, plain)):
+        top_g, count_g = top, count
+    else:
+        top_g, count_g, more = _ratio_max_count(*image, eps)
+        evaluated += more
     return RatioStats(a_max=top, a_max_g=top_g,
                       fraction=2.0 * count / n ** 2,
-                      fraction_g=2.0 * count_g / n ** 2)
+                      fraction_g=2.0 * count_g / n ** 2, evaluated=evaluated)
 
 
 @dataclass(frozen=True)
@@ -202,7 +265,8 @@ class EnergyGap:
 def energy_gap(grid, g, e_half, e_half_g):
     """Compare (1/n^2) sum_{i<j} -log(d_j - c_i) against E(sigma)/2 (caller
     supplies the halves, analytically or by independent quadrature), and the
-    same with all endpoints mapped through g."""
+    same with all endpoints mapped through g (the plain sum again when g
+    leaves them unchanged)."""
     n = grid.n
 
     def riemann(c, d):
@@ -211,9 +275,10 @@ def energy_gap(grid, g, e_half, e_half_g):
         # the pairwise sum is symmetric under sign, so -sum(log) is sum(-log)
         return float(-vals.sum() / n ** 2)
 
-    s = riemann(grid.c, grid.d)
-    sg = riemann(np.asarray(g(grid.c), dtype=float),
-                 np.asarray(g(grid.d), dtype=float))
+    plain = (grid.c, grid.d)
+    s = riemann(*plain)
+    image = [np.asarray(g(x), dtype=float) for x in plain]
+    sg = s if all(map(np.array_equal, image, plain)) else riemann(*image)
     return EnergyGap(gap=e_half - s, gap_g=e_half_g - sg,
                      riemann_sum=s, riemann_sum_g=sg)
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import biortho
-from biortho import cli, dh_law, special
+from biortho import cli, dh_law, proof_lab, special
 from biortho.gas_sampler import GasConfig, GFunction, Potential, mcmc_sample
 
 
@@ -272,6 +272,14 @@ class TestQuantileCheckCommand:
         assert payload["spacing_ok"] is True
         assert payload["a_max"] == pytest.approx(1.5, abs=1e-9)
         assert payload["bl_value"] <= payload["bl_bound"]
+
+    def test_ratios_evaluated(self, capsys):
+        code, out, _ = run(capsys, "quantile-check", "--dist", "uniform:1,2",
+                           "--n", "200", "--eps", "0.1", "--g", "log")
+        assert code == 0
+        grid = proof_lab.build_quantile_grid(proof_lab.uniform_nice(1.0, 2.0), 200)
+        stats = proof_lab.ratio_statistics(grid, GFunction("log"), 0.1)
+        assert json.loads(out)["ratios_evaluated"] == stats.evaluated
 
 
 class TestSvg:

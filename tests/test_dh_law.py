@@ -166,6 +166,14 @@ class TestMoments:
         with pytest.raises(ValueError):
             law.moment_numeric(13)
 
+    def test_rule_built_on_first_moment(self):
+        # the CDF and quantile never need the Gauss-Legendre rule
+        fresh = dh_law.DHLaw()
+        fresh.cdf(1.0), fresh.quantile(0.5)
+        assert "_moment_rule" not in vars(fresh)
+        assert fresh.moment_numeric(3) == dh_law.default_law().moment_numeric(3)
+        assert "_moment_rule" in vars(fresh)
+
 
 class TestStieltjes:
     def test_total_mass_asymptotics(self):

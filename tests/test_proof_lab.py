@@ -130,6 +130,38 @@ class TestRatioStatistics:
         assert stats.a_max_g <= bound * (1 + 1e-9)
 
 
+class TestCertifiedBand:
+    def test_far_pairs_need_no_division(self, uniform12):
+        # lags k >= 13 are certified, so each row divides at most 12 ratios,
+        # and the identity image reuses the plain fields
+        n = 1000
+        grid = pl.build_quantile_grid(uniform12, n)
+        stats = pl.ratio_statistics(grid, GFunction("identity"), 0.1)
+        assert stats.evaluated < 0.03 * 2 * n * (n - 1) // 2
+
+    def test_band_below_bound_walks_every_pair(self, uniform12):
+        # eps = 0.7: every ratio (k+1)/(k+1/3) <= 3/2 < 1.7 (and the log
+        # image stays below 1.7 too), so neither band max can be the global
+        # max and both maps walk all 1225 pairs again
+        grid = pl.build_quantile_grid(uniform12, 50)
+        g = GFunction("log")
+        stats = pl.ratio_statistics(grid, g, 0.7)
+        assert [stats.a_max, stats.a_max_g, stats.fraction, stats.fraction_g] == \
+            full_gather_fields(grid, g, 0.7)
+        assert stats.fraction == stats.fraction_g == 2.0 * (50 * 49 // 2) / 50 ** 2
+        assert stats.evaluated > 2 * 50 * 49 // 2
+
+    def test_identity_image_divides_once(self, dh_trunc):
+        grid = pl.build_quantile_grid(dh_trunc, 120)
+        same = pl.ratio_statistics(grid, GFunction("identity"), 0.1)
+        mapped = pl.ratio_statistics(grid, GFunction("power", 1.5), 0.1)
+        plain_only = pl.ratio_statistics(grid, GFunction("power", 1.0), 0.1)
+        assert same == plain_only
+        assert same.evaluated < mapped.evaluated
+        gaps = pl.energy_gap(grid, GFunction("identity"), 0.5, 0.5)
+        assert gaps.riemann_sum_g == gaps.riemann_sum
+
+
 class TestParity:
     # Values recorded before the pair passes were blocked, with numpy 2.4.6
     # on an x86-64 Xeon (AVX-512 dispatch).  numpy's log may differ in the

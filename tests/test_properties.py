@@ -107,17 +107,25 @@ def test_riemann_sum_block_invariant(widths, pair_block):
     assert s == float(full.sum() / n ** 2)
 
 
+G_KINDS = [GFunction("power", 2.0), GFunction("log"), GFunction("asinh2"),
+           GFunction("exp"), GFunction("identity")]
+
+
 @settings(deadline=None)
 @given(st.lists(st.floats(min_value=1e-3, max_value=10.0), min_size=3, max_size=60),
        st.integers(min_value=1, max_value=200),
-       st.floats(min_value=1e-3, max_value=1.0))
-def test_ratio_statistics_block_invariant(widths, pair_block, eps):
-    # max and count of the one-shot n x n gather, bit for bit, at any block size
+       st.floats(min_value=1e-14, max_value=3.0),
+       st.sampled_from(G_KINDS))
+@example([1.0, 2.0, 0.5, 3.0], 2, 1e-15, GFunction("log"))
+def test_ratio_statistics_block_invariant(widths, pair_block, eps, g):
+    # max and count of the one-shot n x n gather, bit for bit, at any block
+    # size: eps near 1e-14 certifies no pair (below 2^-49 none is tried),
+    # eps past 1/2 can leave the band max below 1 + eps and walk every pair
+    # again
     a = 1.0 + np.cumsum(widths)
     gap = np.diff(a)
     grid = proof_lab.QuantileGrid(a=a, c=a[:-1] + gap / 3.0, d=a[1:] - gap / 3.0)
     n = grid.n
-    g = GFunction("log")
     expected = []
     for x, c, d in ((grid.a, grid.c, grid.d), (g(grid.a), g(grid.c), g(grid.d))):
         r = ((x[1:][:, None] - x[:-1][None, :]) / (d[:, None] - c[None, :]))[
