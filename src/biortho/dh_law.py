@@ -67,7 +67,7 @@ def _log_x(d):
 
 
 def _on_cut(x, edge, fn):
-    """fn(W+(-1/x)) for x in (0, e); 0 at x <= 0, `edge` at x >= e.
+    """fn(W+(-1/x)) on (0, e); 0 at x <= 0, `edge` at x >= e, nan at nan.
 
     A few ulps below e (tau <= -1 + 1e-15, at the cut solver's branch point)
     the value is taken as `edge` too: the density there is below 1e-8 and
@@ -75,7 +75,7 @@ def _on_cut(x, edge, fn):
     """
     arr = np.asarray(x, dtype=float)
     a = np.atleast_1d(arr).astype(float)
-    out = np.where(a >= np.e, edge, 0.0)
+    out = np.where(a >= np.e, edge, np.where(a <= 0.0, 0.0, np.nan))
     inside = (a > 0.0) & (a < np.e)
     if inside.any():
         tau = -np.log(a[inside])
@@ -88,7 +88,7 @@ def _on_cut(x, edge, fn):
 
 
 def dh_density(x):
-    """Density of the Dykema-Haagerup law; zero outside (0, e)."""
+    """Density of the Dykema-Haagerup law; zero outside (0, e), nan at nan."""
     def on_cut(w):
         with np.errstate(over="ignore"):   # ~1/(x log^2 x): inf below 1e-305
             return np.exp(w.real) * np.sin(w.imag) / np.pi
@@ -181,7 +181,7 @@ class DHLaw:
 
     def cdf(self, x):
         """P(X <= x) = F(delta) with delta = pi - Im W+(-1/x), one cut value
-        per point; 0 at x <= 0 and exactly 1 at x >= e."""
+        per point; 0 at x <= 0, exactly 1 at x >= e and nan at nan."""
         return _on_cut(x, 1.0, lambda w: _cdf_delta(np.pi - w.imag))
 
     def quantile(self, p):
@@ -203,7 +203,7 @@ class DHLaw:
         arr = np.asarray(p, dtype=float)
         scalar = arr.ndim == 0
         pp = np.atleast_1d(arr).astype(float)
-        if np.any((pp <= 0.0) | (pp >= 1.0)):
+        if not np.all((pp > 0.0) & (pp < 1.0)):
             raise ValueError("quantile requires 0 < p < 1")
         d = np.minimum(np.pi * pp, np.pi - np.cbrt(3.0 * np.pi * (1.0 - pp)))
         dlo, dhi = np.zeros_like(pp), d.copy()

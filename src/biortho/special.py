@@ -13,11 +13,15 @@ Knuth, "On the Lambert W function", Adv. Comput. Math. 5 (1996):
 a square-root expansion near the branch point -1/e, a short series near 0,
 and log(z) - log(log(z)) for large arguments.  An upper-half-plane result
 outside the strip 0 < Im w < pi raises instead of being repaired.  On the
-cut the value comes from one bracketed Newton solve on the boundary
-parametrization w = -v*cot(v) + i*v with v in (0, pi), so the branch
-condition Im(w) in (0, pi) holds by construction.
+cut the value comes from one bracketed Halley solve in delta = pi - v on
+the boundary parametrization w = -v*cot(v) + i*v, v in (0, pi), so
+Im(w) in (0, pi) holds by construction; written in cot(delta), a step takes
+one tan and no sin or cos (compare Fukushima, J. Comput. Appl. Math. 244
+(2013), on evaluating W with few transcendental calls).
 
-All entry points accept scalars or numpy arrays and are pure.
+All entry points accept scalars or numpy arrays, are pure, and raise
+ValueError outside their domain, nan included.  numpy's SIMD tan, log and
+exp may differ in the last bit on another CPU target.
 """
 
 import numpy as np
@@ -28,7 +32,7 @@ _BRANCH_SLACK = 1e-15          # tolerated undershoot below -1/e on the real axi
 _MAX_ITER = 100
 _STEP_TOL = 1e-15              # |dw| <= tol*(1+|w|) declares convergence
 _HUGE = 1e290                  # above this |z|, w*exp(w) can overflow; use log form
-_CUT_MAX_ITER = 50             # a dense sweep of tau over (-1, 1e12] needs at most 6
+_CUT_MAX_ITER = 50             # a dense sweep of tau over (-1, 1e12] needs at most 4
 _EPS = np.finfo(float).eps
 _TINY = float(np.nextafter(0.0, 1.0))
 
@@ -88,13 +92,13 @@ def lambert_w0_real(x):
 
     Accepts a scalar or array; residual |w e^w - x| <= 1e-12*max(1, |x|).
     Raises ValueError for x < -1/e (beyond a 1e-15 slack at the branch
-    point) and LambertWError if the iteration cap is hit.
+    point), inf or nan, and LambertWError if the iteration cap is hit.
     """
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     a = np.atleast_1d(arr).astype(float)
-    if np.any(a < BRANCH_POINT - _BRANCH_SLACK):
-        raise ValueError("lambert_w0_real requires x >= -1/e")
+    if not np.all((a >= BRANCH_POINT - _BRANCH_SLACK) & (a < np.inf)):
+        raise ValueError("lambert_w0_real requires finite x >= -1/e")
     w = np.empty_like(a)
     q = np.maximum(2.0 * (np.e * a + 1.0), 0.0)   # 2(e*x + 1), clipped at the slack
     near = q < 0.5
@@ -122,11 +126,14 @@ def lambert_w0_complex(z):
     For arguments exactly on the open cut (Im z == 0, Re z < -1/e) use
     lambert_w0_cut_above, which fixes the branch from the upper half-plane.
     For Im(z) > 0 the result satisfies Im(w) in (0, pi); a Halley solve
-    that lands outside that strip raises LambertWError.
+    that lands outside that strip raises LambertWError.  A non-finite z
+    raises ValueError.
     """
     arr = np.asarray(z, dtype=complex)
     scalar = arr.ndim == 0
     zc = np.atleast_1d(arr).astype(complex)
+    if not np.all(np.isfinite(zc)):
+        raise ValueError("lambert_w0_complex requires finite z")
     if np.any((zc.imag == 0.0) & (zc.real < BRANCH_POINT)):
         raise ValueError(
             "argument on the open cut (-inf, -1/e); use lambert_w0_cut_above")
@@ -159,13 +166,13 @@ def lambert_w0_cut_above(x):
     """Boundary value lim_{eps->0+} W0(x + i*eps) for real x < -1/e.
 
     Returns the root w of w*exp(w) = x with Im(w) in (0, pi); residual
-    <= 1e-12*|x|.  Raises ValueError for x >= -1/e.  The value is
-    lambert_w0_cut_above_log(log(-x)), the cut solve in tau = log|x|.
+    <= 1e-12*|x|.  Raises ValueError for x >= -1/e and for nan.  The value
+    is lambert_w0_cut_above_log(log(-x)), the cut solve in tau = log|x|.
     """
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     a = np.atleast_1d(arr).astype(float)
-    if np.any(a >= BRANCH_POINT):
+    if not np.all(a < BRANCH_POINT):
         raise ValueError("lambert_w0_cut_above requires x < -1/e")
     w = lambert_w0_cut_above_log(np.log(-a))
     return complex(w[0]) if scalar else w
@@ -177,21 +184,24 @@ def lambert_w0_cut_above_log(tau):
     Stable for tau far beyond float overflow of |x| itself (tau up to ~1e12).
     Requires tau > -1 (i.e. |x| > 1/e).
 
-    On the cut the root satisfies w = -v*cot(v) + i*v for a unique
-    v in (0, pi), and log|x| = log(v) - log(sin v) - v*cot(v) is strictly
-    increasing in v.  Newton runs in delta = pi - v, which keeps full
-    relative precision at both ends, on the decreasing function
-    h(delta) = log(pi - delta) - log(sin delta) + (pi - delta)*cot(delta) - tau,
-    from v = sqrt(2(tau + 1)) near the branch point and from
+    On the cut the root is w = -v*cot(v) + i*v for a unique v in (0, pi).
+    In delta = pi - v, which keeps full relative precision at both ends, and
+    q = cot(delta), so that -log(sin delta) = log(c2)/2 with c2 = 1 + q^2,
+    Halley's method solves the decreasing
+        h(delta) = log(v) + log(c2)/2 + v*q - tau,
+        h' = -1/v - 2q - v*c2,    h'' = c2*(3 + 2v*q) - 1/v^2,
+    stepping delta - 2h*h'/(2h'^2 - h*h''), and returns w = v*q + i*v.  q is
+    1/tan(delta): one tan per step, no sin or cos.  The start is
+    v = sqrt(2(tau + 1)) near the branch point and
     pi/delta = L - log L + log(L)/L, L = tau + 1, beyond it.  Residual signs
     tighten the bracket [1e-14, pi - 1e-13]; a step that leaves it falls
     back to the midpoint.  A point stops when its residual reaches the
-    rounding level of its terms or its step is below 4e-16*delta, and
+    rounding level of its four terms or its step is below 4e-16*delta, and
     LambertWError is raised after _CUT_MAX_ITER steps.  Points iterate
     independently, so results do not depend on the batch.
     """
     t = np.atleast_1d(np.asarray(tau, dtype=float))
-    if np.any(t <= -1.0):
+    if not np.all(t > -1.0):
         raise ValueError("lambert_w0_cut_above_log requires tau > -1")
     if np.any(t > 1e12):
         raise ValueError("tau out of supported range (> 1e12)")
@@ -205,24 +215,25 @@ def lambert_w0_cut_above_log(tau):
     todo = np.arange(t.size)
     for _ in range(_CUT_MAX_ITER):
         dk, tk, lo, hi = d[todo], t[todo], dlo[todo], dhi[todo]
-        v, sn, cs = np.pi - dk, np.sin(dk), np.cos(dk)
-        a, b, c = np.log(v), np.log(sn), v * cs / sn
-        r = a - b + c - tk
-        slope = -1.0 / v - 2.0 * cs / sn - v / sn ** 2
-        right = r > 0.0             # h decreases in delta; root lies at larger delta
+        v = np.pi - dk
+        q = 1.0 / np.tan(dk)
+        c2 = 1.0 + q * q
+        a, b, c = np.log(v), 0.5 * np.log(c2), v * q
+        h = a + b + c - tk
+        h1 = -1.0 / v - 2.0 * q - v * c2
+        h2 = c2 * (3.0 + 2.0 * c) - 1.0 / (v * v)
+        right = h > 0.0             # h decreases in delta; root lies at larger delta
         lo = np.where(right, dk, lo)
         hi = np.where(right, hi, dk)
-        nxt = dk - r / slope
+        nxt = dk - 2.0 * h * h1 / (2.0 * h1 * h1 - h * h2)
         nxt = np.where((nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
         noise = 4.0 * _EPS * (np.abs(a) + np.abs(b) + np.abs(c) + np.abs(tk))
-        done = (np.abs(r) <= noise) | (np.abs(nxt - dk) <= 4e-16 * dk)
+        done = (np.abs(h) <= noise) | (np.abs(nxt - dk) <= 4e-16 * dk)
         d[todo], dlo[todo], dhi[todo] = nxt, lo, hi
         todo = todo[~done]
         if todo.size == 0:
             break
     else:
-        raise LambertWError("Newton iteration on the cut did not converge")
-    sn = np.sin(d)
-    u = (np.pi - d) * np.cos(d) / sn
+        raise LambertWError("Halley iteration on the cut did not converge")
     v = np.pi - d
-    return u + 1j * v
+    return v / np.tan(d) + 1j * v

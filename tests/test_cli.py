@@ -58,6 +58,17 @@ class TestDispatch:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("argv", [("lambertw", "--z=nan,0"),
+                                      ("lambertw", "--z=inf,0"),
+                                      ("dh", "quantile", "--x", "nan")])
+    def test_non_finite_is_domain_error_exit_1(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert "error" in err
+
+    def test_cdf_at_nan_prints_nan(self, capsys):
+        assert run(capsys, "dh", "cdf", "--x", "nan") == (0, "nan\n", "")
+
     def test_dispatches_share_no_state(self, tmp_path, capsys):
         # one parser serves every dispatch of the process: no flag, default
         # or error of one request may reach the next

@@ -77,6 +77,11 @@ class TestDensity:
         d = dh_law.dh_density(x)
         assert np.all(d > 0)
 
+    def test_nan_in_nan_out(self):
+        assert np.isnan(dh_law.dh_density(np.nan))
+        d = dh_law.dh_density(np.array([np.nan, 1.0, -np.inf, np.inf]))
+        assert np.isnan(d[0]) and d[1] > 0 and d[2] == 0.0 and d[3] == 0.0
+
     def test_parametrization_oracle(self):
         for x in (0.01, 0.3, 1.7, 2.5):
             v = oracle_v(x)
@@ -94,6 +99,16 @@ class TestCdfQuantile:
         x = np.linspace(0.0, np.e, 400)
         c = law.cdf(x)
         assert np.all(np.diff(c) >= 0)
+
+    def test_monotone_on_dense_sorted_sample(self, law):
+        # ulp-adjacent points may swap (ROADMAP), points this far apart not
+        x = np.sort(np.random.default_rng(16).uniform(0.0, np.e, 100_000))
+        assert np.all(np.diff(law.cdf(x)) >= 0)
+
+    def test_cdf_nan_in_nan_out(self, law):
+        assert np.isnan(law.cdf(np.nan))
+        c = law.cdf(np.array([-1.0, np.nan, 1.0, 3.0]))
+        assert c[0] == 0.0 and np.isnan(c[1]) and 0 < c[2] < 1 and c[3] == 1.0
 
     def test_closed_form_oracle(self, law):
         # the closed form has total mass 1; the oracle's charts meet their
@@ -115,7 +130,7 @@ class TestCdfQuantile:
         assert law.quantile(0.999) < np.e
 
     def test_quantile_domain(self, law):
-        for bad in (0.0, 1.0, -0.2, 1.3):
+        for bad in (0.0, 1.0, -0.2, 1.3, np.nan):
             with pytest.raises(ValueError):
                 law.quantile(bad)
 

@@ -40,8 +40,10 @@ class TestReal:
         assert abs(special.lambert_w0_real(1.0) - oracle) < 1e-14
 
     def test_domain_error(self):
-        with pytest.raises(ValueError):
-            special.lambert_w0_real(special.BRANCH_POINT - 1e-9)
+        for bad in (special.BRANCH_POINT - 1e-9, np.nan, np.inf,
+                    np.array([1.0, np.nan])):
+            with pytest.raises(ValueError):
+                special.lambert_w0_real(bad)
 
     def test_residuals(self):
         x = np.concatenate([np.linspace(special.BRANCH_POINT, 10.0, 2000),
@@ -82,6 +84,11 @@ class TestComplex:
     def test_open_cut_rejected(self):
         with pytest.raises(ValueError):
             special.lambert_w0_complex(-1.0 + 0j)
+
+    def test_non_finite_is_domain_error(self):
+        for bad in (np.nan + 1j, complex(0.0, np.nan), complex(np.inf, 1.0)):
+            with pytest.raises(ValueError):
+                special.lambert_w0_complex(bad)
 
     def test_upper_half_plane_strip(self):
         rng = np.random.default_rng(3)
@@ -129,6 +136,10 @@ class TestCutAbove:
             special.lambert_w0_cut_above(special.BRANCH_POINT)
         with pytest.raises(ValueError):
             special.lambert_w0_cut_above(-0.1)
+        with pytest.raises(ValueError):
+            special.lambert_w0_cut_above(np.nan)
+        with pytest.raises(ValueError):
+            special.lambert_w0_cut_above_log(np.array([0.5, np.nan]))
 
     def test_continuity_from_above(self):
         # boundary value agrees with the complex branch just above the cut
@@ -168,6 +179,42 @@ class TestCutAbove:
         x = -np.geomspace(1.0 / np.e + 1e-12, 1e8, 3334)
         w = special.lambert_w0_cut_above(x)
         assert np.array_equal(w, special.lambert_w0_cut_above_log(np.log(-x)))
+
+    def test_matches_scipy_on_wide_cut(self):
+        # the first point is left out: conditioning near the branch point
+        # limits both values there.  The worst relative deviation measures
+        # 9.8e-16; the bound leaves a 2x margin
+        x = -np.geomspace(1.0 / np.e + 1e-6, 1e300, 20000)[1:]
+        w = special.lambert_w0_cut_above(x)
+        ref = scipy.special.lambertw(x + 0j)
+        assert np.max(np.abs(w - ref) / np.abs(ref)) <= 2e-15
+
+    def test_four_halley_steps_suffice(self, monkeypatch):
+        # the dense sweep behind the _CUT_MAX_ITER comment; Newton needs 6
+        monkeypatch.setattr(special, "_CUT_MAX_ITER", 4)
+        tau = np.concatenate([-1.0 + np.geomspace(1e-16, 1.0, 100000),
+                              np.linspace(0.0, 50.0, 100000),
+                              np.geomspace(50.0, 1e12, 100000)])
+        w = special.lambert_w0_cut_above_log(tau)
+        assert np.all((w.imag > 0) & (w.imag < np.pi))
+
+    def test_quarter_turn(self):
+        # tau = log(pi/2) is delta = pi/2, where q = cot(delta) = 0 and tan
+        # is at its pole: W(-pi/2) = i*pi/2
+        w = special.lambert_w0_cut_above_log(np.log(np.pi / 2.0))[0]
+        assert abs(w.real) <= 1e-15
+        assert abs(w.imag - np.pi / 2.0) <= 4e-16
+        w = special.lambert_w0_cut_above(-np.pi / 2.0)
+        assert abs(w * np.exp(w) + np.pi / 2.0) <= 1e-15
+
+    def test_bracket_ends(self):
+        # the smallest and largest tau sit nearest the bracket's ends,
+        # delta = pi - 1e-13 and delta = 1e-14
+        lo, hi = np.nextafter(-1.0, 0.0), 1e12
+        w_lo, w_hi = special.lambert_w0_cut_above_log(np.array([lo, hi]))
+        assert 1e-13 < w_lo.imag < 1e-6 and abs(w_lo + 1.0) <= 1e-6
+        assert np.pi - 1e-11 < w_hi.imag < np.pi - 1e-14
+        assert abs(np.log(abs(w_hi)) + w_hi.real - hi) <= 1e-12 * hi
 
     def test_log_form_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(special, "_CUT_MAX_ITER", 1)
