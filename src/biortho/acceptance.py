@@ -18,7 +18,7 @@ import numpy as np
 from . import dh_law, ensemble, equilibrium, proof_lab, special
 from .gas_sampler import GasConfig, GFunction, Potential, mcmc_sample
 from .measures import (EmpiricalMeasure, GridMeasure, pair_kernel_f,
-                       pair_kernel_lower, voronoi_cell_widths, w1_distance)
+                       pair_kernel_lower, voronoi_cell_edges, w1_distance)
 
 
 def _dh_config():
@@ -201,14 +201,18 @@ def criterion_8_rate_properties():
 
     cfg = _dh_config()
     nodes = equilibrium.make_grid(150, 1e-3, 4.0)
+    quad, lin = equilibrium._quadratic_model(nodes, cfg)
+
+    def rate(w):                # rate_I's arithmetic on a model built once
+        return 0.5 * float(w @ quad @ w) + float(lin @ w)
+
     convex_ok = True
     for _ in range(100):
         wa = rng.dirichlet(np.ones(nodes.size))
         wb = rng.dirichlet(np.ones(nodes.size))
-        ia = equilibrium.rate_I(GridMeasure(nodes, wa), cfg)
-        ib = equilibrium.rate_I(GridMeasure(nodes, wb), cfg)
-        im = equilibrium.rate_I(GridMeasure(nodes, 0.5 * (wa + wb)), cfg)
-        convex_ok &= im <= 0.5 * (ia + ib) + 1e-10
+        im = rate(0.5 * (wa + wb))
+        convex_ok &= im <= 0.5 * (rate(wa) + rate(wb)) + 1e-10
+    convex_ok &= rate(wa) == equilibrium.rate_I(GridMeasure(nodes, wa), cfg)
 
     nodes_g = equilibrium.make_grid(80, 1e-3, 4.0)
     mat, vv = equilibrium._quadratic_model(nodes_g, cfg)
@@ -228,7 +232,7 @@ def criterion_8_rate_properties():
 
     grid = equilibrium.make_grid(200, 1e-4, 4.0)
     r1 = equilibrium.minimize_I(cfg, grid, tol=1e-5, max_iter=150_000)
-    shape = (grid / 4.0) * (1.0 - grid / 4.0) ** 4 * voronoi_cell_widths(grid)
+    shape = (grid / 4.0) * (1.0 - grid / 4.0) ** 4 * np.diff(voronoi_cell_edges(grid))
     w0 = np.maximum(shape, 1e-12)
     r2 = equilibrium.minimize_I(cfg, grid, tol=1e-5, max_iter=150_000,
                                 w0=w0 / w0.sum())

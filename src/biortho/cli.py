@@ -18,6 +18,7 @@ import numpy as np
 
 from . import dh_law, ensemble, equilibrium, proof_lab, special
 from .gas_sampler import GasConfig, GFunction, Potential, mcmc_sample
+from .measures import voronoi_cell_edges
 
 
 def _g17(v):
@@ -228,8 +229,9 @@ def _cmd_equilibrium(args):
         if args.overlay_dh:
             xs = np.linspace(1e-3, float(np.e), 300)
             overlay = (xs, dh_law.dh_density(xs))
-        svg = emit_svg(equilibrium.cell_density(report.minimizer), overlay=overlay,
-                       title="equilibrium weight density")
+        edges = voronoi_cell_edges(report.minimizer.nodes)
+        svg = emit_svg((edges, report.minimizer.weights / np.diff(edges)),
+                       overlay=overlay, title="equilibrium weight density")
         _write_text(args.plot, svg)
         print(f"plot written to {args.plot}")
     return 0 if report.converged else 2

@@ -108,8 +108,8 @@ def dh_stieltjes(z):
     arr = np.asarray(z, dtype=complex)
     scalar = arr.ndim == 0
     zc = np.atleast_1d(arr).astype(complex)
-    if np.any(zc.imag <= 0.0):
-        raise ValueError("dh_stieltjes requires Im(z) > 0")
+    if not (np.all(np.isfinite(zc)) and np.all(zc.imag > 0.0)):
+        raise ValueError("dh_stieltjes requires finite z with Im(z) > 0")
     w = special.lambert_w0_complex(-1.0 / zc)
     s = -1.0 + np.exp(w)
     return complex(s[0]) if scalar else s
@@ -130,6 +130,8 @@ def dh_r_transform(z):
     arr = np.asarray(z, dtype=complex)
     scalar = arr.ndim == 0
     zc = np.atleast_1d(arr).astype(complex)
+    if not np.all(np.isfinite(zc)):
+        raise ValueError("dh_r_transform requires finite z")
     mag = np.abs(zc)
     if np.any(mag == 0.0):
         raise ValueError("dh_r_transform is undefined at z = 0; the limit is 0.5")

@@ -4,11 +4,11 @@ The functional is
 
     I(mu) = E(mu)/2 + E(g_* mu)/2 + int V d(mu)
 
-with E the logarithmic energy.  Discretized on fixed nodes with the cell
-self-energy regularization from `measures`, it becomes a strictly convex
-quadratic F(w) = w'Mw/2 + V'w on the probability simplex, with
-M = K(nodes) + K(g(nodes)).  Fixing the nodes and optimizing only the
-weights keeps the problem convex.
+with E the logarithmic energy.  Discretized on fixed nodes, each weight
+spread over its Voronoi cell and g_*mu over those of g(nodes), it becomes
+a strictly convex quadratic F(w) = w'Mw/2 + V'w on the probability simplex,
+M = K(nodes) + K(g(nodes)) (the exact cell-pair kernels of `measures`).
+Fixing the nodes and optimizing only the weights keeps the problem convex.
 
 Its KKT conditions are the discrete Frostman conditions: the gradient
 d = Mw + V equals a constant c on the support and is no smaller off it
@@ -56,7 +56,8 @@ import numpy as np
 # log_energy_grid is unused here but stays importable under this module,
 # where perfbench/spans.py traces it
 from .measures import (GridMeasure, energy_kernel, log_energy_grid,  # noqa: F401
-                       log_energy_offdiag, pushforward)
+                       log_energy_offdiag, log_kernel_means, pushforward,
+                       voronoi_cell_edges)
 
 
 @dataclass
@@ -125,7 +126,7 @@ def rate_I(m, cfg):
 
 def _quadratic_model(nodes, cfg):
     """(M, v) with objective w'Mw/2 + v'w and gradient Mw + v; the kernels
-    take Voronoi cell widths of the nodes and of their images, which need at
+    take the Voronoi cells of the nodes and of their images, which need at
     least two nodes."""
     nodes = np.asarray(nodes, dtype=float)
     if np.any(nodes <= 0) or np.any(np.diff(nodes) <= 0):
@@ -259,47 +260,16 @@ def _support_endpoint(mu):
     return float(mu.nodes[idx[-1]])
 
 
-def _antideriv(u):
-    """G(u) = u log|u| - u with G(0) = 0, so that the exact cell integral is
-    int_a^b log|x-y| dy = G(b-x) - G(a-x), finite for x inside [a, b]."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(u != 0, u * np.log(np.abs(u)) - u, 0.0)
-
-
-def cell_density(mu):
-    """(edges, density): mu spread uniformly over cells split at the
-    midpoints between nodes, each end cell reaching a quarter of its gap
-    beyond its end node.  Density times cell width is the node weight, so
-    the histogram has area 1."""
-    if mu.n < 2:
-        raise ValueError("cells need >= 2 nodes")
-    nodes = mu.nodes
-    mids = 0.5 * (nodes[1:] + nodes[:-1])
-    edges = np.concatenate([[nodes[0] - 0.5 * (mids[0] - nodes[0])], mids,
-                            [nodes[-1] + 0.5 * (nodes[-1] - mids[-1])]])
-    return edges, mu.weights / np.diff(edges)
-
-
 def _effective_potential(x, mu, cfg):
     """U(x) = -int [log|x-y| + log|g(x)-g(y)|] d(mu)(y) + V(x), the first
     variation of I at mu (unit coefficients: the 1/2 of the i < j pair sum
-    cancels), the integral taken against mu spread piecewise-uniformly over
-    its cells (semi-analytic, finite for x on the support).  At the
+    cancels), on the cells of the solver's kernel (log_kernel_means).  Each
+    row is reduced by itself, so U(x) does not depend on the batch.  At the
     minimizer U is constant on the support (the Frostman condition)."""
     x = np.asarray(x, dtype=float)
-    edges, dens_x = cell_density(mu)
-    gedges = np.asarray(cfg.g(edges), dtype=float)
-    gx = np.asarray(cfg.g(x), dtype=float)
-
-    lo, hi = edges[:-1], edges[1:]
-    glo, ghi = gedges[:-1], gedges[1:]
-    dens_g = mu.weights / (ghi - glo)
-
-    lx = ((_antideriv(hi[None, :] - x[:, None])
-           - _antideriv(lo[None, :] - x[:, None])) * dens_x[None, :]).sum(axis=1)
-    lg = ((_antideriv(ghi[None, :] - gx[:, None])
-           - _antideriv(glo[None, :] - gx[:, None])) * dens_g[None, :]).sum(axis=1)
-    return -(lx + lg) + np.asarray(cfg.v(x), dtype=float)
+    means = (log_kernel_means(voronoi_cell_edges(mu.nodes), x)
+             + log_kernel_means(voronoi_cell_edges(cfg.g(mu.nodes)), cfg.g(x)))
+    return (means * mu.weights).sum(axis=1) + np.asarray(cfg.v(x), dtype=float)
 
 
 def rate_J_largest(x, mu_eq, cfg):

@@ -14,20 +14,17 @@ because both measures have unit mass.  So when f* oscillates by at most 2
 it fits in [-1, 1] after a shift, and d_BL = W1 exactly; only otherwise
 does bl_distance run its dynamic program along the sorted support.
 
-The grid energy carries a diagonal regularization: a node of weight w and
-local cell width h contributes w^2 * (-log h + 3/2), the exact self-energy
-of the uniform density on a width-h cell.  This makes the grid energy a
-consistent discretization of the continuous energy (the uniform law on
-[0, 1] has energy exactly 3/2) and keeps the discrete minimization problem
-from collapsing onto a single node.
+Energies of measures spread uniformly over cells share one exact cell
+integral, log_kernel_means.  A grid node's weight is spread over its
+Voronoi cell (voronoi_cell_edges), so a width-h cell has self-energy
+-log h + 3/2 (the uniform law on [0, 1] has energy exactly 3/2), which
+keeps the discrete minimization from collapsing onto a single node.
 """
 
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-
-_CELL_SELF_ENERGY = 1.5      # iint -log|x-y| over the unit cell, unit density
 
 
 @dataclass(frozen=True)
@@ -197,34 +194,69 @@ def log_energy_offdiag(m):
     return float(np.sum(-np.log(diff[off])) / n ** 2)
 
 
-def voronoi_cell_widths(nodes):
-    """Local cell widths from midpoints between neighbours (half cells at
-    both ends).  Requires at least two nodes."""
+def voronoi_cell_edges(nodes):
+    """Voronoi cell edges of two or more increasing nodes: the midpoints
+    between neighbours, with half cells ending on the two end nodes."""
     nodes = np.asarray(nodes, dtype=float)
     if nodes.size < 2:
-        raise ValueError("cell widths need >= 2 nodes")
-    mids = 0.5 * (nodes[1:] + nodes[:-1])
-    edges = np.concatenate([[nodes[0]], mids, [nodes[-1]]])
-    return np.diff(edges)
+        raise ValueError("cell edges need >= 2 nodes")
+    return np.concatenate([nodes[:1], 0.5 * (nodes[1:] + nodes[:-1]), nodes[-1:]])
 
 
-def energy_kernel(nodes):
-    """Symmetric kernel K with K_ij = -log|x_i - x_j| off the diagonal and
-    the cell self-energy K_ii = -log h_i + 3/2 on it, h the Voronoi cell
-    widths; grid energy is w'Kw."""
-    nodes = np.asarray(nodes, dtype=float)
-    h = voronoi_cell_widths(nodes)
-    if np.any(h <= 0):
+def _step(u, s, k):
+    """(u + s)^k log(u + s) - u^k log u, k = 1 or 2, for arrays u >= 0, s > 0
+    of one shape: (u + s)^k log1p(s/u) + ((u + s)^k - u^k) log u with the
+    second bracket expanded, so nothing cancels when s << u; s^k log s at 0."""
+    rise = s if k == 1 else s * (2.0 * u + s)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = (u + s) ** k * np.log1p(s / u) + rise * np.log(u)
+    at0 = u == 0
+    step[at0] = s[at0] ** k * np.log(s[at0])
+    return step
+
+
+def log_kernel_means(edges, points=None):
+    """Exact means of -log|x - y| for y uniform on cell j = [edges[j],
+    edges[j+1]] and x uniform on cell i (an m x m matrix) or x = points[i].
+
+    With G(u) = u log|u| - u and F(u) = u(G(u) - u/2)/2, the first and
+    second antiderivatives of log|u|, a point-cell integral is a difference
+    of G and a cell-pair integral a second difference of F; their u and u^2
+    parts difference exactly, their u^k log u parts by _step.  For cells of
+    widths s <= L a gap D >= 0 apart the mean is 3/2 - [_step(D + L, s) -
+    _step(D, s)]/(2sL), the inner difference over the smaller cell; a cell
+    with itself gives -log h + 3/2.  A point inside a cell splits it in two.
+    """
+    edges = np.asarray(edges, dtype=float)
+    lo, hi = edges[:-1], edges[1:]
+    q = hi - lo
+    if not np.all(q > 0):
         raise ValueError("cell widths must be positive")
-    diff = np.abs(nodes[:, None] - nodes[None, :])
-    np.fill_diagonal(diff, 1.0)
-    k = -np.log(diff)
-    np.fill_diagonal(k, -np.log(h) + _CELL_SELF_ENERGY)
+    if points is None:
+        i, j = np.triu_indices(q.size, 1)           # cell i below cell j
+        s, big = np.minimum(q[i], q[j]), np.maximum(q[i], q[j])
+        gap = lo[j] - hi[i]
+        pair = 1.5 - (_step(gap + big, s, 2) - _step(gap, s, 2)) / (2.0 * s * big)
+        k = np.diag(1.5 - np.log(q))
+        k[i, j] = k[j, i] = pair
+        return k
+    x = np.asarray(points, dtype=float)[:, None]
+    gap = np.maximum(lo - x, x - hi)
+    k = 1.0 - _step(np.maximum(gap, 0.0), np.broadcast_to(q, gap.shape), 1) / q
+    i, j = np.nonzero(gap < 0)
+    piece = np.array([x[i, 0] - lo[j], hi[j] - x[i, 0]])
+    k[i, j] = 1.0 - (piece * np.log(piece)).sum(axis=0) / q[j]
     return k
 
 
+def energy_kernel(nodes):
+    """Symmetric kernel K of the Voronoi cells of the nodes (see
+    log_kernel_means): grid energy is w'Kw, and K_ii = -log h_i + 3/2."""
+    return log_kernel_means(voronoi_cell_edges(nodes))
+
+
 def log_energy_grid(m):
-    """Grid logarithmic energy with diagonal cell self-energy."""
+    """Grid logarithmic energy: each weight spread over its Voronoi cell."""
     return float(m.weights @ energy_kernel(m.nodes) @ m.weights)
 
 

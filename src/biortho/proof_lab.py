@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dh_law
-from .measures import EmpiricalMeasure, bl_distance
+from .measures import EmpiricalMeasure, bl_distance, log_kernel_means
 
 
 @dataclass(frozen=True)
@@ -314,16 +314,10 @@ def box_mass_log_rate(grid):
     return float(np.sum(np.log(cell_mass)) / n ** 2)
 
 
-def _log_cell_antideriv(u):
-    """F with F'' = log|u|: F(u) = u^2 (2 log|u| - 3)/4, F(0) = 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(u != 0, 0.25 * u ** 2 * (2.0 * np.log(np.abs(u)) - 3.0), 0.0)
-
-
 def nice_energy(sigma, g=None, n0=256, tol=1e-6, max_doublings=4):
-    """Logarithmic energy of sigma (or of g_* sigma) by equal-mass-cell
-    quadrature with the log kernel integrated exactly per cell pair;
-    cell count doubles until two resolutions agree to tol.
+    """Logarithmic energy of sigma (or of g_* sigma): the mean of the exact
+    cell-pair kernel (measures.log_kernel_means) over n equal-mass cells;
+    the cell count doubles until two resolutions agree to tol.
 
     Raises RuntimeError when max_doublings doublings leave no two
     resolutions within tol.  With max_doublings=0 nothing is compared, and
@@ -335,14 +329,8 @@ def nice_energy(sigma, g=None, n0=256, tol=1e-6, max_doublings=4):
         edges = np.asarray(sigma.quantile(np.arange(n + 1) / n), dtype=float)
         edges[0], edges[-1] = sigma.a, sigma.b
         if g is not None:
-            edges = np.asarray(g(edges), dtype=float)
-        widths = np.diff(edges)
-        if np.any(widths <= 0):
-            raise ValueError("degenerate quantile cells")
-        fu = _log_cell_antideriv(edges[:, None] - edges[None, :])
-        rect = -(fu[1:, :-1] + fu[:-1, 1:] - fu[1:, 1:] - fu[:-1, :-1])
-        dens = 1.0 / (n * widths)
-        val = float(dens @ rect @ dens)
+            edges = g(edges)
+        val = float(log_kernel_means(edges).mean())
         if prev is not None and abs(val - prev) <= tol:
             return val
         prev = val

@@ -66,6 +66,17 @@ class TestDispatch:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.filterwarnings("error")        # a numpy warning fails the test
+    @pytest.mark.parametrize("op,z", [("rtransform", "nan,0"),
+                                      ("rtransform", "0.5,nan"),
+                                      ("stieltjes", "nan,1"),
+                                      ("stieltjes", "1,nan"),
+                                      ("stieltjes", "inf,1")])
+    def test_non_finite_transform_is_domain_error(self, capsys, op, z):
+        code, out, err = run(capsys, "dh", op, f"--z={z}")
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_cdf_at_nan_prints_nan(self, capsys):
         assert run(capsys, "dh", "cdf", "--x", "nan") == (0, "nan\n", "")
 

@@ -270,9 +270,9 @@ class TestRateJ:
 
     def test_frostman_flat_on_support(self):
         # U is the first variation of I, so at the minimizer it is constant
-        # on the support.  The criterion-5 minimizer reads a spread of 0.011
-        # over its 302 interior support nodes, the largest deviations at the
-        # seam of the geometric and uniform parts of the grid (x ~ 0.10-0.15);
+        # on the support.  The criterion-5 minimizer reads a spread of 0.0027
+        # over its 302 interior support nodes, the largest deviation at the
+        # seam of the geometric and uniform parts of the grid (x = 0.1);
         # 0.02 bounds that resolution effect.  Half the potential spreads by
         # 1.37 on the same nodes.
         rep = acceptance._dh_equilibrium()
@@ -283,11 +283,87 @@ class TestRateJ:
 
     def test_no_lower_potential_off_support(self):
         # a node off the support would lower the objective if U were below
-        # kappa = U(b_eq) there; the criterion-5 grid reads a margin of 5e-4
+        # kappa = U(b_eq) there; the criterion-5 grid reads a margin of 3.3e-4
         rep = acceptance._dh_equilibrium()
         off = rep.minimizer.nodes[rep.minimizer.weights == 0]
         u = eq._effective_potential(off, rep.minimizer, dh_cfg())
         assert np.all(u >= rep.kappa)
+
+
+def mp_cdf(x):
+    """Marchenko-Pastur MP(1) CDF [sqrt(x(4 - x)) + 4 arcsin(sqrt(x)/2)]/(2 pi)."""
+    x = np.clip(x, 0.0, 4.0)
+    return (np.sqrt(x * (4.0 - x)) + 4.0 * np.arcsin(np.sqrt(x) / 2.0)) / (2.0 * np.pi)
+
+
+def mp_cdf_integral(x):
+    """int_0^x of mp_cdf, in closed form (3 at x = 4, slope 1 beyond)."""
+    t = np.clip(x, 0.0, 4.0)
+    r = np.sqrt(t * (4.0 - t))
+    inner = (0.5 * (t + 2.0) * r + 2.0 * np.arcsin(0.5 * (t - 2.0))
+             + 4.0 * (t - 2.0) * np.arcsin(0.5 * np.sqrt(t)) + np.pi)
+    return inner / (2.0 * np.pi) + np.maximum(x - 4.0, 0.0)
+
+
+def w1_to_mp(mu):
+    """Exact W1 = int |F_mu - F| against MP(1): on each gap [a, b] between
+    atoms F_mu is a constant c, F crosses c once at x* (bisection), and
+    int |c - F| is two differences of mp_cdf_integral."""
+    nodes, w = mu.nodes, mu.weights
+    a = np.concatenate([[0.0], nodes])
+    b = np.concatenate([nodes, [max(4.0, nodes[-1])]])
+    c = np.minimum(np.concatenate([[0.0], np.cumsum(w)]), 1.0)
+    lo, hi = a.copy(), b.copy()
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        below = mp_cdf(mid) < c
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    xs, phi = 0.5 * (lo + hi), mp_cdf_integral
+    return float(np.sum(c * (xs - a) - (phi(xs) - phi(a))
+                        + (phi(b) - phi(xs)) - c * (b - xs)))
+
+
+class TestTheta1Exact:
+    """At g = identity, V(x) = x, b = 1 the equilibrium is Marchenko-Pastur
+    MP(1): b_eq = 4, kappa = 2 (int log y dMP = -1), I_min = 3/2, and
+    J(x) = sqrt(x(x - 4)) - 4 log((sqrt(x) + sqrt(x - 4))/2) from
+    U'(x) = sqrt((x - 4)/x).  The criterion-6 solve (400 nodes on [1e-4, 6],
+    tol 1e-4) reads the errors in the comments; with the point kernel
+    between nodes they were 2.2e-3 (J), -1.9e-3 (objective) and -2.5e-3
+    (kappa).  The half-coefficient potential fails the J and kappa tests."""
+
+    def test_rate_j_closed_form(self):
+        # max error 5.6e-5 over these points; bound 2e-4 (3.5x margin)
+        rep = acceptance._id_equilibrium()
+        xs = np.array([4.5, 5.0, 6.0, 8.0, 12.0])
+        exact = np.sqrt(xs * (xs - 4.0)) - 4.0 * np.log(
+            (np.sqrt(xs) + np.sqrt(xs - 4.0)) / 2.0)
+        js = eq.rate_J_largest(xs, rep.minimizer, id_cfg())
+        assert np.max(np.abs(js - exact)) <= 2e-4
+
+    def test_kappa_and_objective(self):
+        # kappa - 2 = +7.0e-5 and objective - 3/2 = +4.9e-5; bounds 2e-4
+        rep = acceptance._id_equilibrium()
+        assert abs(rep.kappa - 2.0) <= 2e-4
+        assert abs(rep.objective - 1.5) <= 2e-4
+
+    def test_support_end_and_w1(self):
+        # b_eq reads 3.9873, inside one grid spacing (0.0197) of 4; W1 to
+        # MP reads 0.00406 (0.00426 with the point kernel), first order in
+        # the spacing; bound 0.005 (23% margin)
+        rep = acceptance._id_equilibrium()
+        assert abs(rep.b_eq - 4.0) <= 0.0197
+        assert w1_to_mp(rep.minimizer) <= 0.005
+
+    def test_w1_to_mp_reference(self):
+        # the exact W1 helper against a trapezoid rule on a 1e-5 grid
+        nodes = np.array([0.5, 1.0, 2.5, 3.5])
+        mu = GridMeasure(nodes, np.array([0.2, 0.3, 0.4, 0.1]))
+        x = np.linspace(0.0, 4.0, 400_001)
+        f_mu = np.concatenate([[0.0], np.cumsum(mu.weights)])[
+            np.searchsorted(nodes, x, side="right")]
+        brute = np.trapezoid(np.abs(f_mu - mp_cdf(x)), x)
+        assert w1_to_mp(mu) == pytest.approx(brute, abs=1e-5)
 
 
 class TestRateIEmpirical:

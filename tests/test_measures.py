@@ -1,10 +1,12 @@
 """Measure containers, distances, energies, pair kernel."""
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from scipy.stats import wasserstein_distance
 
-from biortho import measures as mm, proof_lab
+from biortho import equilibrium, measures as mm, proof_lab
 from biortho.gas_sampler import GasConfig, GFunction, Potential
 
 
@@ -226,13 +228,16 @@ class TestEnergies:
             mm.log_energy_grid(mm.GridMeasure([1.0], [1.0]))
 
     def test_grid_two_node_hand_value(self):
-        # nodes 1 and 1 + 2h: both Voronoi cells have width h, the pair is 2h apart
+        # nodes 1 and 1 + 2h: both Voronoi cells have width h and share an
+        # edge; the mean of -log|x - y| over two adjacent width-h cells is
+        # -log h + 3/2 - 2 log 2
         for h in (0.1, 0.5, 2.0):
             x = [1.0, 1.0 + 2.0 * h]
             assert mm.log_energy_grid(mm.GridMeasure(x, [1.0, 0.0])) == \
                 pytest.approx(-np.log(h) + 1.5, rel=1e-12)
             w1, w2 = 0.3, 0.7
-            expected = (w1 ** 2 + w2 ** 2) * (-np.log(h) + 1.5) - 2 * w1 * w2 * np.log(2 * h)
+            expected = ((w1 ** 2 + w2 ** 2) * (-np.log(h) + 1.5)
+                        + 2 * w1 * w2 * (-np.log(h) + 1.5 - 2 * np.log(2)))
             assert mm.log_energy_grid(mm.GridMeasure(x, [w1, w2])) == \
                 pytest.approx(expected, rel=1e-12)
 
@@ -262,6 +267,62 @@ class TestEnergies:
             e_atom = mm.log_energy_grid(mm.GridMeasure(x, w_atom))
             e_split = mm.log_energy_grid(mm.GridMeasure(x, w_split))
             assert e_split < e_atom
+
+
+def _log_antiderivs(u):
+    """G(u) = u log|u| - u and F(u) = u^2 (2 log|u| - 3)/4 in Decimal,
+    G' = log|u| and F' = G, both 0 at 0."""
+    if u == 0:
+        return Decimal(0), Decimal(0)
+    log = abs(u).ln()
+    return u * log - u, u * u * (2 * log - 3) / 4
+
+
+class TestCellKernel:
+    """log_kernel_means against the same cell integrals at 50 digits
+    (stdlib decimal) on criterion 9's deep grid, [1e-8, 4] with 600 nodes,
+    geometric below 0.1 for half of them.  The plain four-term difference
+    of F in floats is off by 4.6e-4 relative at the first x last pair."""
+
+    @pytest.fixture(scope="class")
+    def nodes(self):
+        return equilibrium.make_grid(600, 1e-8, 4.0, geo_fraction=0.5)
+
+    @pytest.fixture(scope="class")
+    def edges(self, nodes):
+        # Voronoi cells: midpoints, half cells ending on the end nodes
+        return np.concatenate([nodes[:1], 0.5 * (nodes[1:] + nodes[:-1]), nodes[-1:]])
+
+    def test_cell_pairs_match_decimal(self, nodes, edges):
+        kern = mm.energy_kernel(nodes)
+        m = nodes.size
+        pairs = [(0, m - 1), (m - 1, 0), (0, 1), (299, 300), (m - 2, m - 1)]
+        pairs += [(i, i) for i in (0, 299, m - 1)] + [(5, 400), (100, 310)]
+        with localcontext() as ctx:
+            ctx.prec = 50
+            e = [Decimal(float(v)) for v in edges]
+            for i, j in pairs:
+                p, q = e[i + 1] - e[i], e[j + 1] - e[j]
+                f = [_log_antiderivs(e[j + b] - e[i + a])[1]
+                     for a in (0, 1) for b in (0, 1)]
+                exact = float((f[0] - f[1] - f[2] + f[3]) / (p * q))
+                assert abs(kern[i, j] - exact) <= 1e-12 * max(1.0, abs(exact))
+
+    def test_points_match_decimal(self, nodes, edges):
+        # nodes inside their cells, cell edges, points between and beyond
+        x = np.array([nodes[0], nodes[1], edges[1], 0.05, nodes[299], 2.0,
+                      nodes[-2], edges[-2], nodes[-1], 4.5, 12.0])
+        cols = [0, 1, 2, 299, 300, 597, 598, 599]
+        kern = mm.log_kernel_means(edges, x)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for r, xr in enumerate(x):
+                for j in cols:
+                    lo, hi = Decimal(float(edges[j])), Decimal(float(edges[j + 1]))
+                    g_hi = _log_antiderivs(hi - Decimal(float(xr)))[0]
+                    g_lo = _log_antiderivs(lo - Decimal(float(xr)))[0]
+                    exact = float(-(g_hi - g_lo) / (hi - lo))
+                    assert abs(kern[r, j] - exact) <= 1e-12 * max(1.0, abs(exact))
 
 
 class TestPairKernel:
