@@ -128,8 +128,6 @@ def _cmd_lambertw(args):
     re_, im_ = _parse_complex(args.z)
     if im_ == 0.0 and re_ < special.BRANCH_POINT:
         w = special.lambert_w0_cut_above(re_)
-    elif im_ == 0.0 and re_ >= special.BRANCH_POINT:
-        w = complex(special.lambert_w0_real(re_), 0.0)
     else:
         w = special.lambert_w0_complex(complex(re_, im_))
     print(f"{w.real:.17g},{w.imag:.17g}")
@@ -238,6 +236,8 @@ def _cmd_equilibrium(args):
 
 
 def _cmd_rate_largest(args):
+    if args.points < 1:
+        raise ValueError("--points must be at least 1")
     cfg, report = _solve(args)
     x_hi = args.x_max if args.x_max is not None else 3.0 * report.b_eq
     xs = np.linspace(report.b_eq, x_hi, args.points)

@@ -88,4 +88,6 @@ def largest_particle(m):
 
 def sample_spectra(params, trials):
     """Spectra for trials 0..trials-1, in trial order."""
+    if trials < 0:
+        raise ValueError("trials must be nonnegative")
     return [sample_spectrum(params, k) for k in range(trials)]

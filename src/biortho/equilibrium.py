@@ -57,7 +57,7 @@ import numpy as np
 # where perfbench/spans.py traces it
 from .measures import (GridMeasure, energy_kernel, log_energy_grid,  # noqa: F401
                        log_energy_offdiag, log_kernel_means, pushforward,
-                       voronoi_cell_edges)
+                       voronoi_cell_edges, with_image)
 
 
 @dataclass
@@ -104,8 +104,8 @@ def make_grid(n, lo, hi, geo_fraction=0.25):
     """Solver grid: geo_fraction of the nodes spaced geometrically from lo up
     to 0.1 (resolving the 1/(x log^2 x)-type blow-up near 0), uniform
     spacing beyond."""
-    if not (0 < lo < hi):
-        raise ValueError("need 0 < lo < hi")
+    if not 0 < lo < hi < np.inf:
+        raise ValueError("need finite 0 < lo < hi")
     n = int(n)
     if n < 2:
         raise ValueError("need at least two nodes")
@@ -131,8 +131,8 @@ def _quadratic_model(nodes, cfg):
     nodes = np.asarray(nodes, dtype=float)
     if np.any(nodes <= 0) or np.any(np.diff(nodes) <= 0):
         raise ValueError("grid must be strictly increasing in (0, inf)")
-    m = energy_kernel(nodes) + energy_kernel(np.asarray(cfg.g(nodes), dtype=float))
-    return m, np.asarray(cfg.v(nodes), dtype=float)
+    k, k_g = with_image(energy_kernel, cfg.g, nodes)
+    return k + k_g, np.asarray(cfg.v(nodes), dtype=float)
 
 
 def _kkt(grad, w):
@@ -158,7 +158,7 @@ def minimize_I(cfg, grid, tol=1e-6, max_iter=200_000, w0=None):
     Returns a SolverReport; converged=False (max_iter face solves without
     meeting tol) still carries the last iterate.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     nodes = np.asarray(grid, dtype=float)
     mat, vv = _quadratic_model(nodes, cfg)
@@ -172,7 +172,6 @@ def minimize_I(cfg, grid, tol=1e-6, max_iter=200_000, w0=None):
         w = w / w.sum()
     s = np.flatnonzero(w > 0)
     inv = _saddle_inverse(mat, s)
-    scratch = np.empty((m + 1) ** 2)          # _drop_slot's outer products
     grad = mat @ w + vv
     obj = 0.5 * float(w @ (grad + vv))
     kkt = _kkt(grad, w)
@@ -197,7 +196,7 @@ def minimize_I(cfg, grid, tol=1e-6, max_iter=200_000, w0=None):
             w[s] = np.maximum(ws, 0.0)
             # descending, so each swap brings a staying node into the slot
             for p in np.flatnonzero(w[s] == 0)[::-1]:
-                s = _drop_slot(inv, s, p, scratch)
+                s = _drop_slot(inv, s, p)
         else:
             w[s] = z
         grad = mat @ w + vv
@@ -236,20 +235,16 @@ def _face_residual(mat, vv, s, y):
     return max(float(np.abs(r).max()), abs(float(y[1:].sum()) - 1.0))
 
 
-def _drop_slot(inv, s, p, scratch):
+def _drop_slot(inv, s, p):
     """Delete node slot p from the face: swap it into the last live slot of
     the inverse, then apply the rank-one deletion B - B[:,j] B[j,:] / B[j,j]
-    to the leading block, in place.  The outer product goes to the first
-    k*k entries of the flat scratch, contiguous: a strided block of an
-    (m+1) x (m+1) array is slower to write and read than a fresh array.
-    Returns the face shortened by one."""
+    to the leading block, in place.  Returns the face shortened by one."""
     k = s.size
     inv[[p + 1, k], :k + 1] = inv[[k, p + 1], :k + 1]
     inv[:k + 1, [p + 1, k]] = inv[:k + 1, [k, p + 1]]
     s[[p, k - 1]] = s[[k - 1, p]]
     live = inv[:k, :k]
-    live -= np.outer(inv[:k, k], inv[k, :k] / inv[k, k],
-                     out=scratch[:k * k].reshape(k, k))
+    live -= np.outer(inv[:k, k], inv[k, :k] / inv[k, k])
     return s[:k - 1]
 
 
@@ -267,9 +262,10 @@ def _effective_potential(x, mu, cfg):
     row is reduced by itself, so U(x) does not depend on the batch.  At the
     minimizer U is constant on the support (the Frostman condition)."""
     x = np.asarray(x, dtype=float)
-    means = (log_kernel_means(voronoi_cell_edges(mu.nodes), x)
-             + log_kernel_means(voronoi_cell_edges(cfg.g(mu.nodes)), cfg.g(x)))
-    return (means * mu.weights).sum(axis=1) + np.asarray(cfg.v(x), dtype=float)
+    means, means_g = with_image(
+        lambda nodes, pts: log_kernel_means(voronoi_cell_edges(nodes), pts),
+        cfg.g, mu.nodes, x)
+    return ((means + means_g) * mu.weights).sum(axis=1) + np.asarray(cfg.v(x), dtype=float)
 
 
 def rate_J_largest(x, mu_eq, cfg):

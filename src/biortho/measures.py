@@ -194,6 +194,18 @@ def log_energy_offdiag(m):
     return float(np.sum(-np.log(diff[off])) / n ** 2)
 
 
+def with_image(fn, g, *arrays):
+    """(fn(*arrays), fn(*images)) for the arrays and their images under g,
+    both as float arrays.  When g leaves every array unchanged, fn runs
+    once and its result is returned twice, as the same object."""
+    arrays = [np.asarray(a, dtype=float) for a in arrays]
+    images = [np.asarray(g(a), dtype=float) for a in arrays]
+    plain = fn(*arrays)
+    if all(map(np.array_equal, images, arrays)):
+        return plain, plain
+    return plain, fn(*images)
+
+
 def voronoi_cell_edges(nodes):
     """Voronoi cell edges of two or more increasing nodes: the midpoints
     between neighbours, with half cells ending on the two end nodes."""

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dh_law
-from .measures import EmpiricalMeasure, bl_distance, log_kernel_means
+from .measures import EmpiricalMeasure, bl_distance, log_kernel_means, with_image
 
 
 @dataclass(frozen=True)
@@ -235,16 +235,13 @@ def ratio_statistics(grid, g, eps):
     at any _PAIR_BLOCK.  When g leaves a, c and d unchanged the g fields are
     the plain ones and nothing more is divided.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     n = grid.n
-    plain = (grid.a, grid.c, grid.d)
-    top, count, evaluated = _ratio_max_count(*plain, eps)
-    image = [np.asarray(g(x), dtype=float) for x in plain]
-    if all(map(np.array_equal, image, plain)):
-        top_g, count_g = top, count
-    else:
-        top_g, count_g, more = _ratio_max_count(*image, eps)
+    plain, image = with_image(lambda a, c, d: _ratio_max_count(a, c, d, eps),
+                              g, grid.a, grid.c, grid.d)
+    (top, count, evaluated), (top_g, count_g, more) = plain, image
+    if image is not plain:
         evaluated += more
     return RatioStats(a_max=top, a_max_g=top_g,
                       fraction=2.0 * count / n ** 2,
@@ -275,10 +272,7 @@ def energy_gap(grid, g, e_half, e_half_g):
         # the pairwise sum is symmetric under sign, so -sum(log) is sum(-log)
         return float(-vals.sum() / n ** 2)
 
-    plain = (grid.c, grid.d)
-    s = riemann(*plain)
-    image = [np.asarray(g(x), dtype=float) for x in plain]
-    sg = s if all(map(np.array_equal, image, plain)) else riemann(*image)
+    s, sg = with_image(riemann, g, grid.c, grid.d)
     return EnergyGap(gap=e_half - s, gap_g=e_half_g - sg,
                      riemann_sum=s, riemann_sum_g=sg)
 
@@ -287,6 +281,8 @@ def configuration_bl_check(grid, sigma, m=10_000, z=None):
     """Bounded-Lipschitz distance between a central-thirds configuration
     (default: interval midpoints) and an m-point quantile discretization of
     sigma.  The construction promises <= C/n plus 2/m discretization slack."""
+    if m < 1:
+        raise ValueError("m must be at least 1")
     if z is None:
         z = 0.5 * (grid.c + grid.d)
     else:

@@ -10,14 +10,16 @@ densities.
 Off the cut, root refinement is Halley's method (cubic convergence) with
 regime-dependent starting points, after Corless, Gonnet, Hare, Jeffrey and
 Knuth, "On the Lambert W function", Adv. Comput. Math. 5 (1996):
-a square-root expansion near the branch point -1/e, a short series near 0,
-and log(z) - log(log(z)) for large arguments.  An upper-half-plane result
-outside the strip 0 < Im w < pi raises instead of being repaired.  On the
-cut the value comes from one bracketed Halley solve in delta = pi - v on
-the boundary parametrization w = -v*cot(v) + i*v, v in (0, pi), so
-Im(w) in (0, pi) holds by construction; written in cot(delta), a step takes
-one tan and no sin or cos (compare Fukushima, J. Comput. Appl. Math. 244
-(2013), on evaluating W with few transcendental calls).
+the square-root expansion sqrt(2e(z + 1/e)) - 1 within 1.5 of the branch
+point -1/e, log(z) - log(log(z)) beyond it, and for |z| >= 1e290 Newton on
+w + log(w) = log(z).  The real branch is the real part of this complex
+solve.  An upper-half-plane result outside the strip 0 < Im w < pi raises
+instead of being repaired.  On the cut the value comes from one bracketed
+Halley solve in delta = pi - v on the boundary parametrization
+w = -v*cot(v) + i*v, v in (0, pi), so Im(w) in (0, pi) holds by
+construction; written in cot(delta), a step takes one tan and no sin or
+cos (compare Fukushima, J. Comput. Appl. Math. 244 (2013), on evaluating
+W with few transcendental calls).
 
 All entry points accept scalars or numpy arrays, are pure, and raise
 ValueError outside their domain, nan included.  numpy's SIMD tan, log and
@@ -99,24 +101,8 @@ def lambert_w0_real(x):
     a = np.atleast_1d(arr).astype(float)
     if not np.all((a >= BRANCH_POINT - _BRANCH_SLACK) & (a < np.inf)):
         raise ValueError("lambert_w0_real requires finite x >= -1/e")
-    w = np.empty_like(a)
-    q = np.maximum(2.0 * (np.e * a + 1.0), 0.0)   # 2(e*x + 1), clipped at the slack
-    near = q < 0.5
-    p = np.sqrt(q[near])
-    w[near] = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0)))
-    mid = ~near & (a < 10.0)
-    w[mid] = np.log1p(a[mid])
-    big = ~near & ~mid & (a < _HUGE)
-    if big.any():
-        l1 = np.log(a[big])
-        w[big] = l1 - np.log(l1)
-    huge = a >= _HUGE
-    if huge.any():
-        w[huge] = _asymptotic_newton(a[huge]).real
-    refine = ~huge
-    if refine.any():
-        w[refine] = _halley(w[refine], a[refine]).real
-    w = np.maximum(w, -1.0)
+    # clip the slack to -1/e; on the real axis the complex solve returns +0.0j
+    w = np.maximum(_w0_off_cut(np.maximum(a, BRANCH_POINT).astype(complex)).real, -1.0)
     return float(w[0]) if scalar else w
 
 
@@ -137,6 +123,20 @@ def lambert_w0_complex(z):
     if np.any((zc.imag == 0.0) & (zc.real < BRANCH_POINT)):
         raise ValueError(
             "argument on the open cut (-inf, -1/e); use lambert_w0_cut_above")
+    w = _w0_off_cut(zc)
+    # the open upper half-plane maps into the strip 0 < Im w < pi.
+    # Im w underflows to 0 when Im z is near the subnormal range; the
+    # smallest positive double keeps such a w on the side of its branch
+    up = zc.imag > 0
+    w.imag[up & (w.imag == 0.0)] = _TINY
+    if np.any(up & ((w.imag <= 0.0) | (w.imag >= np.pi))):
+        raise LambertWError("Halley iteration left the principal branch")
+    return complex(w[0]) if scalar else w
+
+
+def _w0_off_cut(zc):
+    """Halley solve for W0 at a 1-d complex array of finite z off the open
+    cut, from the regime's starting point; the branch is not checked."""
     w = np.empty_like(zc)
     zero = zc == 0
     w[zero] = 0.0
@@ -152,14 +152,7 @@ def lambert_w0_complex(z):
     refine = ~zero & ~huge
     if refine.any():
         w[refine] = _halley(w[refine], zc[refine])
-    # the open upper half-plane maps into the strip 0 < Im w < pi.
-    # Im w underflows to 0 when Im z is near the subnormal range; the
-    # smallest positive double keeps such a w on the side of its branch
-    up = zc.imag > 0
-    w.imag[up & (w.imag == 0.0)] = _TINY
-    if np.any(up & ((w.imag <= 0.0) | (w.imag >= np.pi))):
-        raise LambertWError("Halley iteration left the principal branch")
-    return complex(w[0]) if scalar else w
+    return w
 
 
 def lambert_w0_cut_above(x):

@@ -77,6 +77,23 @@ class TestDispatch:
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    @pytest.mark.filterwarnings("error")        # a numpy warning fails the test
+    @pytest.mark.parametrize("argv", [
+        ("rate-largest", "--points", "0"),
+        ("quantile-check", "--m", "0"),
+        ("quantile-check", "--eps", "nan"),
+        ("sample-matrix", "--n", "4", "--trials", "-1"),
+        ("equilibrium", "--domain", "1e-4,inf"),
+        ("equilibrium", "--tol", "nan"),
+    ])
+    def test_invalid_request_is_validation_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        if argv[0] != "quantile-check":
+            argv += ("--out", str(out))
+        code, stdout, err = run(capsys, *argv)
+        assert code == 1 and stdout == "" and not out.exists()
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_cdf_at_nan_prints_nan(self, capsys):
         assert run(capsys, "dh", "cdf", "--x", "nan") == (0, "nan\n", "")
 

@@ -185,8 +185,8 @@ class TestMinimize:
         kept = eq.minimize_I(dh_cfg(), grid, tol=1e-12)
         drop_slot = eq._drop_slot
 
-        def corrupt(inv, s, p, scratch):
-            s = drop_slot(inv, s, p, scratch)
+        def corrupt(inv, s, p):
+            s = drop_slot(inv, s, p)
             inv[1, 1] += 1e-6
             return s
 
@@ -234,6 +234,8 @@ class TestMinimize:
     def test_validation(self):
         with pytest.raises(ValueError):
             eq.minimize_I(dh_cfg(), eq.make_grid(50, 1e-3, 4.0), tol=-1.0)
+        with pytest.raises(ValueError):
+            eq.minimize_I(dh_cfg(), eq.make_grid(50, 1e-3, 4.0), tol=np.nan)
         with pytest.raises(ValueError):
             eq.minimize_I(dh_cfg(), np.array([-1.0, 2.0]), tol=1e-4)
         with pytest.raises(ValueError):
@@ -385,6 +387,29 @@ class TestRateIEmpirical:
     def test_domain(self):
         with pytest.raises(ValueError):
             eq.rate_I_empirical(EmpiricalMeasure([-1.0, 1.0]), id_cfg())
+
+
+@pytest.mark.parametrize("cfg,builds", [(id_cfg(), 1), (dh_cfg(), 2)])
+def test_quadratic_model_reuses_unchanged_image(monkeypatch, cfg, builds):
+    # g = identity leaves the nodes unchanged, so one kernel serves both terms
+    calls, kernel = [], eq.energy_kernel
+
+    def counted(nodes):
+        calls.append(nodes)
+        return kernel(nodes)
+
+    monkeypatch.setattr(eq, "energy_kernel", counted)
+    nodes = eq.make_grid(40, 1e-3, 4.0)
+    mat, _ = eq._quadratic_model(nodes, cfg)
+    assert len(calls) == builds
+    assert np.array_equal(mat, kernel(nodes) + kernel(cfg.g(nodes)))
+
+
+@pytest.mark.parametrize("lo,hi", [(0.0, 4.0), (2.0, 1.0), (1e-4, np.inf),
+                                   (np.nan, 4.0), (1e-4, np.nan)])
+def test_make_grid_rejects_bad_domain(lo, hi):
+    with pytest.raises(ValueError):
+        eq.make_grid(50, lo, hi)
 
 
 def test_make_grid_shape():

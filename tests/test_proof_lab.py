@@ -96,6 +96,12 @@ class TestRatioStatistics:
         assert stats.fraction == pytest.approx(2.0 * pairs_ok / n ** 2, abs=1e-12)
         assert stats.fraction >= 0.95
 
+    @pytest.mark.parametrize("eps", [0.0, -0.1, np.nan])
+    def test_rejects_nonpositive_eps(self, uniform12, eps):
+        grid = pl.build_quantile_grid(uniform12, 50)
+        with pytest.raises(ValueError):
+            pl.ratio_statistics(grid, GFunction("identity"), eps)
+
     def test_identity_g_matches_plain(self, dh_trunc):
         grid = pl.build_quantile_grid(dh_trunc, 150)
         stats = pl.ratio_statistics(grid, GFunction("identity"), 0.05)
@@ -260,6 +266,11 @@ class TestConfigurationBl:
         z = grid.a[:-1].copy()   # left endpoints sit outside the thirds
         with pytest.raises(ValueError):
             pl.configuration_bl_check(grid, uniform12, z=z)
+
+    def test_rejects_empty_reference(self, uniform12):
+        grid = pl.build_quantile_grid(uniform12, 50)
+        with pytest.raises(ValueError):
+            pl.configuration_bl_check(grid, uniform12, m=0)
 
 
 class TestNiceEnergy:

@@ -66,6 +66,16 @@ class TestReal:
         w = special.lambert_w0_real(x)
         assert np.all(np.diff(w) > 0)
 
+    def test_is_complex_solve_real_part(self):
+        # one solve off the cut: on criterion 2's real grid the real branch
+        # is bit-equal to the complex branch's real part, whose imaginary
+        # part is +0.0 there
+        x = np.concatenate([np.linspace(special.BRANCH_POINT, 20.0, 1667),
+                            np.geomspace(20.0, 1e8, 1667)])
+        wc = special.lambert_w0_complex(x)
+        assert np.array_equal(special.lambert_w0_real(x), wc.real)
+        assert np.all(wc.imag == 0.0) and not np.signbit(wc.imag).any()
+
     def test_scalar_and_array(self):
         assert isinstance(special.lambert_w0_real(1.0), float)
         assert special.lambert_w0_real(np.array([1.0, 2.0])).shape == (2,)
