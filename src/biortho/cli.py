@@ -240,6 +240,8 @@ def _cmd_rate_largest(args):
         raise ValueError("--points must be at least 1")
     cfg, report = _solve(args)
     x_hi = args.x_max if args.x_max is not None else 3.0 * report.b_eq
+    if not (np.isfinite(x_hi) and x_hi > report.b_eq):
+        raise ValueError(f"--x-max must be finite and above b_eq = {report.b_eq:.6g}")
     xs = np.linspace(report.b_eq, x_hi, args.points)
     js = equilibrium.rate_J_largest(xs, report.minimizer, cfg)
     payload = {
@@ -307,6 +309,9 @@ def _cmd_verify(args):
     only = None
     if args.only:
         only = {int(v) for v in args.only.split(",")}
+        unknown = only - {idx for idx, _, _ in acceptance.CRITERIA}
+        if unknown:
+            raise ValueError(f"no criterion {min(unknown)}")
     print(f"{'':>4} {'criterion':<28} {'result':<6} {'time':>9}  detail")
     ok = True
     for idx, _, _ in acceptance.CRITERIA:

@@ -160,6 +160,8 @@ def minimize_I(cfg, grid, tol=1e-6, max_iter=200_000, w0=None):
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
+    if max_iter < 0:
+        raise ValueError("max_iter must be nonnegative")
     nodes = np.asarray(grid, dtype=float)
     mat, vv = _quadratic_model(nodes, cfg)
     m = nodes.size

@@ -14,6 +14,8 @@ because both measures have unit mass.  So when f* oscillates by at most 2
 it fits in [-1, 1] after a shift, and d_BL = W1 exactly; only otherwise
 does bl_distance run its dynamic program along the sorted support.
 
+Every pass over the pairs i < j (the cell kernel, the off-diagonal energy,
+the proof lab's ratios and Riemann sums) walks lower_pairs in 1 MB blocks.
 Energies of measures spread uniformly over cells share one exact cell
 integral, log_kernel_means.  A grid node's weight is spread over its
 Voronoi cell (voronoi_cell_edges), so a width-h cell has self-energy
@@ -179,19 +181,48 @@ def _cross(src, dst, d, shift):
         dst.append((-key - 2.0 * shift, d))
 
 
+_PAIR_BLOCK = 1 << 17    # pairs per block: 1 MB of float64
+
+
+def lower_pairs(lo, hi):
+    """The pairs lo_j <= i < hi_j of each row j, rows in order and i rising,
+    in blocks (i, rows, k) of at most _PAIR_BLOCK pairs: column indices, a
+    row slice and each row's pair count, so v[rows].repeat(k) lines up with i."""
+    width = hi - lo
+    ends = width.cumsum()
+    starts, shift = ends - width, ends - hi     # pair p of row j: i = p - shift_j
+    total = int(width.sum())
+    for p0 in range(0, total, _PAIR_BLOCK):
+        p1 = min(p0 + _PAIR_BLOCK, total)
+        j0, j1 = ends.searchsorted(p0, "right"), starts.searchsorted(p1)
+        k = np.minimum(ends[j0:j1], p1) - np.maximum(starts[j0:j1], p0)
+        i = np.arange(p0, p1)
+        i -= shift[j0:j1].repeat(k)
+        yield i, slice(j0, j1), k
+
+
+def pair_log_sum(c, d):
+    """sum_{i<j} log(d_j - c_i), its terms laid out in the row-major order of
+    a full n x n lower-triangle gather and summed once, as that gather is."""
+    n = c.size
+    vals, start = np.empty(n * (n - 1) // 2), 0
+    for i, rows, k in lower_pairs(np.zeros(n, dtype=int), np.arange(n)):
+        block = vals[start:start + i.size]
+        np.log(np.subtract(d[rows].repeat(k), c.take(i), out=block), out=block)
+        start += i.size
+    return float(vals.sum())
+
+
 def log_energy_offdiag(m):
     """(1/n^2) * sum_{i != j} -log|x_i - x_j| for an empirical measure."""
-    x = m.points
-    n = x.size
+    x, n = m.points, m.n
     if n == 0:
         raise ValueError("empty measure")
     if n == 1:
         return 0.0
-    diff = np.abs(x[:, None] - x[None, :])
-    off = ~np.eye(n, dtype=bool)
-    if np.any(diff[off] == 0.0):
+    if np.any(np.diff(x) == 0.0):
         raise ValueError("coincident support points give infinite energy")
-    return float(np.sum(-np.log(diff[off])) / n ** 2)
+    return -2.0 * pair_log_sum(x, x) / n ** 2
 
 
 def with_image(fn, g, *arrays):
@@ -245,12 +276,15 @@ def log_kernel_means(edges, points=None):
     if not np.all(q > 0):
         raise ValueError("cell widths must be positive")
     if points is None:
-        i, j = np.triu_indices(q.size, 1)           # cell i below cell j
-        s, big = np.minimum(q[i], q[j]), np.maximum(q[i], q[j])
-        gap = lo[j] - hi[i]
-        pair = 1.5 - (_step(gap + big, s, 2) - _step(gap, s, 2)) / (2.0 * s * big)
         k = np.diag(1.5 - np.log(q))
-        k[i, j] = k[j, i] = pair
+        cells = np.arange(q.size)
+        for i, rows, r in lower_pairs(np.zeros_like(cells), cells):
+            j = cells[rows].repeat(r)                  # cell i below cell j
+            qi, qj = q.take(i), q[rows].repeat(r)
+            s, big = np.minimum(qi, qj), np.maximum(qi, qj)
+            gap = lo[rows].repeat(r) - hi.take(i)
+            k[i, j] = k[j, i] = 1.5 - (_step(gap + big, s, 2)
+                                       - _step(gap, s, 2)) / (2.0 * s * big)
         return k
     x = np.asarray(points, dtype=float)[:, None]
     gap = np.maximum(lo - x, x - hi)

@@ -8,11 +8,8 @@ runs on: the spacing bounds 1/(Cn) <= a_{k+1}-a_k <= C/n, the bounded ratio
 (a_j - a_{i-1})/(d_j - c_i) together with the fraction of pairs where it is
 below 1+eps, the Riemann-sum lower bounds for the two halves of the
 logarithmic energy, and the bounded-Lipschitz distance between any
-configuration from the central-thirds box and sigma itself.
-
-The ratio statistics divide only a band of near-diagonal pairs: an exact
-bound, with half of eps kept for rounding, certifies every farther pair of
-a row below 1+eps at once (see ratio_statistics).
+configuration from the central-thirds box and sigma itself.  The ratio
+statistics divide only a near-diagonal band (see ratio_statistics).
 """
 
 from dataclasses import dataclass
@@ -20,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dh_law
-from .measures import EmpiricalMeasure, bl_distance, log_kernel_means, with_image
+from .measures import (EmpiricalMeasure, bl_distance, log_kernel_means, lower_pairs,
+                       pair_log_sum, with_image)
 
 
 @dataclass(frozen=True)
@@ -61,7 +59,9 @@ def uniform_nice(a, b):
 
 
 def truncated_dh(lo, law=None):
-    """Dykema-Haagerup law conditioned to [lo, e - lo]."""
+    """Dykema-Haagerup law conditioned to [lo, e - lo].  Its density falls on
+    (0, e), since in dh_law's cut parameter delta d log f/d delta =
+    -(pi - delta)/sin^2 delta < 0 while x rises, so C comes from the ends."""
     law = law or dh_law.default_law()
     lo = float(lo)
     hi = float(np.e - lo)
@@ -79,9 +79,8 @@ def truncated_dh(lo, law=None):
         q = law.quantile(inner)
         return np.clip(q, lo, hi)
 
-    probe = np.linspace(lo, hi, 2001)
-    dvals = density(probe)
-    c = max(float(dvals.max()), 1.0 / float(dvals.min()), 1.0)
+    f_max, f_min = density(np.array([lo, hi]))
+    c = max(float(f_max), 1.0 / float(f_min), 1.0)
     return NiceMeasure(a=lo, b=hi, density=density, quantile=quantile, C=c)
 
 
@@ -138,65 +137,37 @@ class RatioStats:
     evaluated: int
 
 
-_PAIR_BLOCK = 1 << 17    # pair values per block: 1 MB of float64
-
-
-def _lower_pairs(block, n):
-    """All pairs i < j of an n x n pair quantity, in the row-major order of
-    m[np.tri(n, k=-1, dtype=bool)].  block(j0, j1) gives rows j0 <= j < j1
-    over columns i < j1, for row ranges of about _PAIR_BLOCK values, so a
-    block stays in cache and no n x n array is made."""
-    out = np.empty(n * (n - 1) // 2)
-    start = 0
-    rows = max(1, _PAIR_BLOCK // n)
-    for j0 in range(0, n, rows):
-        j1 = min(j0 + rows, n)
-        vals = block(j0, j1)[np.tri(j1 - j0, j1, k=j0 - 1, dtype=bool)]
-        out[start:start + vals.size] = vals
-        start += vals.size
-    return out
-
-
-def _band_max_count(a, c, d, width, bound):
-    """Max of the ratios (a_{j+1} - a_i)/(d_j - c_i) over the band of the
-    last width_j pairs i < j of each row j, how many are <= bound, and the
-    band size.  The band is walked in row-major order, _PAIR_BLOCK pairs at
-    a time."""
-    ends = width.cumsum()
-    starts = ends - width
-    shift = ends - np.arange(c.size)     # pair p of row j has i = p - shift_j
-    a1, total = a[1:], int(ends[-1])
-    top, count = -np.inf, 0
-    for p0 in range(0, total, _PAIR_BLOCK):
-        p1 = min(p0 + _PAIR_BLOCK, total)
-        j0, j1 = ends.searchsorted(p0, "right"), starts.searchsorted(p1)
-        k = np.minimum(ends[j0:j1], p1) - np.maximum(starts[j0:j1], p0)
-        i = np.arange(p0, p1) - shift[j0:j1].repeat(k)
-        r = a1[j0:j1].repeat(k) - a.take(i)
-        r /= d[j0:j1].repeat(k) - c.take(i)
+def _band_max_count(a, c, d, lo, hi, bound):
+    """Max of the ratios (a_{j+1} - a_i)/(d_j - c_i) over the pairs
+    lo_j <= i < hi_j of each row j, how many are <= bound, and how many."""
+    top, count, total = -np.inf, 0, 0
+    for i, rows, k in lower_pairs(lo, hi):
+        r = a[1:][rows].repeat(k) - a.take(i)
+        r /= d[rows].repeat(k) - c.take(i)
         top = np.maximum(top, r.max())
         count += int(np.count_nonzero(r <= bound))
+        total += i.size
     return float(top), count, total
 
 
 def _ratio_max_count(a, c, d, eps):
     """Max pair ratio, how many ratios are <= 1 + eps, and how many were
-    divided: the certified prefix of each row is counted without dividing
-    (see ratio_statistics)."""
+    divided: a row's certified prefix is counted without dividing, and
+    walked only when the band max is below 1 + eps (see ratio_statistics)."""
     bound, h = 1.0 + eps, 0.5 * eps
     rows = np.arange(c.size)             # row j holds the j pairs i < j
-    width = rows
+    lo = np.zeros_like(rows)
     if h >= 2.0 ** -50 and (c[:-1] <= c[1:]).all():     # h >= 8u, c sorted
         s = np.maximum(a[1:] - d, 0.0) + max((c - a[:-1]).max(), 0.0)
         t = np.nextafter(d - s / h, -np.inf)
         t = np.fmax(t, -np.inf)          # a nan threshold certifies nothing
         lo = np.minimum(c.searchsorted(t, "right"), rows)
-        width = rows - lo
-    top, count, evaluated = _band_max_count(a, c, d, width, bound)
-    if top >= bound:
-        return top, count + c.size * (c.size - 1) // 2 - evaluated, evaluated
-    top, count, rerun = _band_max_count(a, c, d, rows, bound)
-    return top, count, evaluated + rerun
+    top, count, evaluated = _band_max_count(a, c, d, lo, rows, bound)
+    count += c.size * (c.size - 1) // 2 - evaluated
+    if top < bound:
+        top_lo, _, more = _band_max_count(a, c, d, np.zeros_like(rows), lo, bound)
+        top, evaluated = max(top, top_lo), evaluated + more
+    return top, count, evaluated
 
 
 def ratio_statistics(grid, g, eps):
@@ -229,11 +200,12 @@ def ratio_statistics(grid, g, eps):
 
     Every certified ratio is <= fl(1 + eps), so a band max at or above that
     bound is the global max.  Otherwise (e.g. eps >= 0.5 on a uniform grid,
-    whose adjacent ratios are all 3/2) the same walk runs again with
-    lo_j = 0 and gives both the max and the count.  A max and a count do
-    not depend on order, so every field is bit-identical to the full gather
-    at any _PAIR_BLOCK.  When g leaves a, c and d unchanged the g fields are
-    the plain ones and nothing more is divided.
+    whose adjacent ratios are all 3/2) every pair is <= 1 + eps, the band
+    by its max and the rest by the certificate, and the prefixes i < lo_j
+    are walked once for the max alone: each pair is then divided exactly
+    once.  A max and a count do not depend on order, so every field is
+    bit-identical to the full gather at any block size.  When g leaves a, c
+    and d unchanged the g fields are the plain ones and nothing more is divided.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -241,8 +213,7 @@ def ratio_statistics(grid, g, eps):
     plain, image = with_image(lambda a, c, d: _ratio_max_count(a, c, d, eps),
                               g, grid.a, grid.c, grid.d)
     (top, count, evaluated), (top_g, count_g, more) = plain, image
-    if image is not plain:
-        evaluated += more
+    evaluated += more if image is not plain else 0
     return RatioStats(a_max=top, a_max_g=top_g,
                       fraction=2.0 * count / n ** 2,
                       fraction_g=2.0 * count_g / n ** 2, evaluated=evaluated)
@@ -265,14 +236,8 @@ def energy_gap(grid, g, e_half, e_half_g):
     same with all endpoints mapped through g (the plain sum again when g
     leaves them unchanged)."""
     n = grid.n
-
-    def riemann(c, d):
-        vals = _lower_pairs(lambda j0, j1: d[j0:j1, None] - c[None, :j1], n)
-        np.log(vals, out=vals)
-        # the pairwise sum is symmetric under sign, so -sum(log) is sum(-log)
-        return float(-vals.sum() / n ** 2)
-
-    s, sg = with_image(riemann, g, grid.c, grid.d)
+    # the pairwise sum is symmetric under sign, so -sum(log) is sum(-log)
+    s, sg = with_image(lambda c, d: -pair_log_sum(c, d) / n ** 2, g, grid.c, grid.d)
     return EnergyGap(gap=e_half - s, gap_g=e_half_g - sg,
                      riemann_sum=s, riemann_sum_g=sg)
 

@@ -85,6 +85,9 @@ class TestDispatch:
         ("sample-matrix", "--n", "4", "--trials", "-1"),
         ("equilibrium", "--domain", "1e-4,inf"),
         ("equilibrium", "--tol", "nan"),
+        ("equilibrium", "--grid", "30", "--max-iter", "-1"),
+        ("rate-largest", "--grid", "30", "--x-max", "nan"),
+        ("rate-largest", "--grid", "30", "--x-max", "0.1"),     # below b_eq
     ])
     def test_invalid_request_is_validation_error(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
@@ -379,6 +382,13 @@ def test_verify_prints_each_criterion_once(capsys):
     for name in ("moment-identity", "proof-lab-uniform"):
         assert out.count(name) == 1
     assert "lambert-w-roundtrip" not in out
+
+
+@pytest.mark.parametrize("only", ["11", "0", "1,11"])
+def test_verify_rejects_unknown_criterion(capsys, only):
+    code, out, err = run(capsys, "verify", "--only", only)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_runtime_imports_no_scipy():

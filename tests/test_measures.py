@@ -324,6 +324,29 @@ class TestCellKernel:
                     exact = float(-(g_hi - g_lo) / (hi - lo))
                     assert abs(kern[r, j] - exact) <= 1e-12 * max(1.0, abs(exact))
 
+    def test_blocks_match_default(self, monkeypatch, nodes):
+        whole = mm.energy_kernel(nodes)
+        monkeypatch.setattr(mm, "_PAIR_BLOCK", 1000)
+        assert np.array_equal(mm.energy_kernel(nodes), whole)
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 17])
+def test_lower_pairs_walks_each_pair_once(monkeypatch, rng, block):
+    # rows j with random lo_j <= hi_j <= j, empty rows included, and a walk
+    # with no pair at all: every (i, j) with lo_j <= i < hi_j, row-major
+    monkeypatch.setattr(mm, "_PAIR_BLOCK", block)
+    for n in (1, 2, 9, 40):
+        rows = np.arange(n)
+        hi = rng.integers(0, rows + 1)
+        lo = rng.integers(0, hi + 1)
+        for lo_j, hi_j in ((lo, hi), (hi, hi)):
+            expected = [(i, j) for j in rows for i in range(lo_j[j], hi_j[j])]
+            walked = []
+            for i, rows_b, k in mm.lower_pairs(lo_j, hi_j):
+                assert 0 < i.size <= block and k.size == rows_b.stop - rows_b.start
+                walked += zip(i.tolist(), rows[rows_b].repeat(k).tolist())
+            assert walked == expected
+
 
 class TestPairKernel:
     @pytest.fixture

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from biortho import proof_lab as pl
+from biortho import dh_law, measures, proof_lab as pl
 from biortho.gas_sampler import GFunction
 
 
@@ -155,7 +155,7 @@ class TestCertifiedBand:
         assert [stats.a_max, stats.a_max_g, stats.fraction, stats.fraction_g] == \
             full_gather_fields(grid, g, 0.7)
         assert stats.fraction == stats.fraction_g == 2.0 * (50 * 49 // 2) / 50 ** 2
-        assert stats.evaluated > 2 * 50 * 49 // 2
+        assert stats.evaluated == 2 * 50 * 49 // 2
 
     def test_identity_image_divides_once(self, dh_trunc):
         grid = pl.build_quantile_grid(dh_trunc, 120)
@@ -200,7 +200,7 @@ class TestParity:
         # five rows per block: one ragged block (n = 2, 3), exactly one
         # block (5), a one-row remainder (6), three blocks and two rows (17)
         rows = 5
-        monkeypatch.setattr(pl, "_PAIR_BLOCK", rows * n)
+        monkeypatch.setattr(measures, "_PAIR_BLOCK", rows * n)
         rng = np.random.default_rng(n)
         a = np.cumsum(rng.uniform(0.5, 2.0, n + 1))
         gap = np.diff(a)
@@ -313,3 +313,12 @@ def test_truncated_dh_density_bounds(dh_trunc):
     assert q[0] == pytest.approx(dh_trunc.a, abs=1e-8)
     assert q[-1] == pytest.approx(dh_trunc.b, abs=1e-8)
     assert np.all(np.diff(q) > 0)
+
+
+@pytest.mark.parametrize("lo", [0.05, 0.1, 0.3])
+def test_truncated_dh_bound_from_endpoints(lo):
+    # the DH density decreases on (0, e), so the two end values give C
+    sigma = pl.truncated_dh(lo)
+    dens = sigma.density(np.linspace(lo, np.e - lo, 2001))
+    assert sigma.C == max(float(dens.max()), 1.0 / float(dens.min()), 1.0)
+    assert np.all(np.diff(dh_law.dh_density(np.linspace(0.0, np.e, 100_001)[1:-1])) <= 0)

@@ -10,7 +10,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
-from biortho import dh_law, proof_lab, special  # noqa: E402
+from biortho import dh_law, measures, proof_lab, special  # noqa: E402
 from biortho.gas_sampler import GFunction  # noqa: E402
 from biortho.measures import EmpiricalMeasure, bl_distance, w1_distance  # noqa: E402
 
@@ -98,12 +98,12 @@ def test_riemann_sum_block_invariant(widths, pair_block):
     grid = proof_lab.QuantileGrid(a=a, c=a[:-1] + gap / 3.0, d=a[1:] - gap / 3.0)
     n = grid.n
     full = -np.log((grid.d[:, None] - grid.c[None, :])[np.tri(n, k=-1, dtype=bool)])
-    old = proof_lab._PAIR_BLOCK
-    proof_lab._PAIR_BLOCK = pair_block
+    old = measures._PAIR_BLOCK
+    measures._PAIR_BLOCK = pair_block
     try:
         s = proof_lab.energy_gap(grid, GFunction("identity"), 0.0, 0.0).riemann_sum
     finally:
-        proof_lab._PAIR_BLOCK = old
+        measures._PAIR_BLOCK = old
     assert s == float(full.sum() / n ** 2)
 
 
@@ -131,10 +131,10 @@ def test_ratio_statistics_block_invariant(widths, pair_block, eps, g):
         r = ((x[1:][:, None] - x[:-1][None, :]) / (d[:, None] - c[None, :]))[
             np.tri(n, k=-1, dtype=bool)]
         expected += [float(r.max()), float(2.0 * np.sum(r <= 1.0 + eps) / n ** 2)]
-    old = proof_lab._PAIR_BLOCK
-    proof_lab._PAIR_BLOCK = pair_block
+    old = measures._PAIR_BLOCK
+    measures._PAIR_BLOCK = pair_block
     try:
         stats = proof_lab.ratio_statistics(grid, g, eps)
     finally:
-        proof_lab._PAIR_BLOCK = old
+        measures._PAIR_BLOCK = old
     assert [stats.a_max, stats.fraction, stats.a_max_g, stats.fraction_g] == expected
