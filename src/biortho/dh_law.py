@@ -197,7 +197,9 @@ class DHLaw:
         4e-16*delta (or one ulp, for subnormal delta); RuntimeError is raised
         after _QUANTILE_MAX_ITER steps.  The result is exp(log x(delta)),
         clipped at log(5e-324), so quantiles below p ~ 1.3e-3 saturate there.
-        Levels iterate independently, so results do not depend on the batch.
+        The whole batch steps together and each level freezes at its own
+        stop, so a batch takes as many steps as its slowest level and results
+        do not depend on the batch.
         Distinct levels come out in order up to the rounding of log x: levels
         a few ulps apart may swap by an ulp or two of log x (5.7e-14 relative
         at worst where log x ~ -166).
@@ -209,23 +211,21 @@ class DHLaw:
             raise ValueError("quantile requires 0 < p < 1")
         d = np.minimum(np.pi * pp, np.pi - np.cbrt(3.0 * np.pi * (1.0 - pp)))
         dlo, dhi = np.zeros_like(pp), d.copy()
-        todo = np.arange(pp.size)
+        done = np.zeros(pp.shape, dtype=bool)
         for _ in range(_QUANTILE_MAX_ITER):
-            dk, pk, lo, hi = d[todo], pp[todo], dlo[todo], dhi[todo]
-            g = _cdf_delta(dk) - pk
+            g = _cdf_delta(d) - pp
             below = g < 0.0
-            lo = np.where(below, dk, lo)
-            hi = np.where(below, hi, dk)
-            step = g / _cdf_slope(dk)
-            tol = np.maximum(4e-16 * dk, np.spacing(dk))
+            dlo = np.where(below, d, dlo)
+            dhi = np.where(below, dhi, d)
+            step = g / _cdf_slope(d)
+            tol = np.maximum(4e-16 * d, np.spacing(d))
             small = np.abs(step) <= tol
-            nxt = dk - step
-            nxt = np.where(small | ((lo < nxt) & (nxt < hi)), nxt, 0.5 * (lo + hi))
-            hit = np.abs(g) <= 4e-16 * pk
-            d[todo] = np.where(hit, dk, nxt)
-            dlo[todo], dhi[todo] = lo, hi
-            todo = todo[~(hit | small | (hi - lo <= tol))]
-            if todo.size == 0:
+            nxt = d - step
+            nxt = np.where(small | ((dlo < nxt) & (nxt < dhi)), nxt, 0.5 * (dlo + dhi))
+            hit = np.abs(g) <= 4e-16 * pp
+            d = np.where(done | hit, d, nxt)
+            done |= hit | small | (dhi - dlo <= tol)
+            if done.all():
                 break
         else:
             raise RuntimeError("DH quantile: Newton iteration did not converge")

@@ -23,8 +23,8 @@ _MASK64 = 2 ** 64 - 1
 
 @dataclass(frozen=True)
 class EnsembleParams:
-    """Matrix-model parameters; c_j = theta*(j-1) + b must stay positive,
-    which theta >= 0 and b > 0 guarantee."""
+    """Matrix-model parameters; c_j = theta*(j-1) + b must stay positive
+    and finite, which finite theta >= 0 and b > 0 guarantee."""
 
     n: int
     theta: float
@@ -34,10 +34,10 @@ class EnsembleParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("matrix dimension must be >= 1")
-        if self.theta < 0:
-            raise ValueError("theta must be >= 0")
-        if not self.b > 0:
-            raise ValueError("b must be > 0")
+        if not 0 <= self.theta < np.inf:
+            raise ValueError("theta must be finite and >= 0")
+        if not 0 < self.b < np.inf:
+            raise ValueError("b must be finite and > 0")
 
 
 def rng_stream(seed, stream=0):

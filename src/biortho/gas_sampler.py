@@ -6,8 +6,8 @@ The target is the unnormalized density
 
 for an increasing interaction map g and a confining potential V that grows
 faster than (b+1)*log at infinity (checked heuristically before sampling).
-Each interaction kind is one row of the table _G_KINDS, which holds g, g'
-and log|g| as functions of (x, theta); V is one polynomial, evaluated by
+Each interaction kind is one row of the table _G_KINDS, which holds g and
+log|g| as functions of (x, theta); V is one polynomial, evaluated by
 Horner's rule (`linear:a` is the polynomial 0 + a*x).
 
 The sampler is single-coordinate Metropolis on log coordinates -- the state
@@ -40,23 +40,18 @@ import numpy as np
 
 from .measures import EmpiricalMeasure
 
-# kind -> (g, g', log|g|), each a function of (x, theta); log|g| is
+# kind -> (g, log|g|), each a function of (x, theta); log|g| is
 # overflow-safe (log exp(x) = x without forming exp(x))
 _G_KINDS = {
     "power": (lambda x, t: x ** t,
-              lambda x, t: t * x ** (t - 1.0),
               lambda x, t: t * np.log(x)),
     "log": (lambda x, t: np.log(x),
-            lambda x, t: 1.0 / x,
             lambda x, t: np.log(np.abs(np.log(x)))),
     "asinh2": (lambda x, t: np.arcsinh(np.sqrt(x)) ** 2,
-               lambda x, t: np.arcsinh(np.sqrt(x)) / (np.sqrt(x) * np.sqrt(1.0 + x)),
                lambda x, t: 2.0 * np.log(np.arcsinh(np.sqrt(x)))),
     "exp": (lambda x, t: np.exp(x),
-            lambda x, t: np.exp(x),
             lambda x, t: x + 0.0),
     "identity": (lambda x, t: x + 0.0,
-                 lambda x, t: np.ones_like(x),
                  lambda x, t: np.log(x)),
 }
 _COINCIDENCE_TOL = 1e-14
@@ -75,8 +70,8 @@ class GFunction:
     def __post_init__(self):
         if self.kind not in _G_KINDS:
             raise ValueError(f"unknown interaction kind {self.kind!r}")
-        if self.kind == "power" and not self.theta > 0:
-            raise ValueError("power interaction needs theta > 0")
+        if self.kind == "power" and not 0 < self.theta < np.inf:
+            raise ValueError("power interaction needs finite theta > 0")
 
     def _eval(self, column, x):
         return _G_KINDS[self.kind][column](np.asarray(x, dtype=float), self.theta)
@@ -84,12 +79,9 @@ class GFunction:
     def __call__(self, x):
         return self._eval(0, x)
 
-    def deriv(self, x):
-        return self._eval(1, x)
-
     def log_abs(self, x):
         """log|g(x)|, overflow-safe."""
-        return self._eval(2, x)
+        return self._eval(1, x)
 
     @classmethod
     def parse(cls, text):
@@ -110,14 +102,16 @@ class GFunction:
 
 @dataclass(frozen=True)
 class Potential:
-    """Confining polynomial potential sum_k c_k x^k: ascending coefficients,
-    degree >= 1, positive leading coefficient."""
+    """Confining polynomial potential sum_k c_k x^k: finite ascending
+    coefficients, degree >= 1, positive leading coefficient."""
 
     coeffs: tuple
 
     def __post_init__(self):
         if len(self.coeffs) < 2:
             raise ValueError("polynomial potential needs degree >= 1")
+        if not np.all(np.isfinite(self.coeffs)):
+            raise ValueError("polynomial potential needs finite coefficients")
         if not self.coeffs[-1] > 0:
             raise ValueError("polynomial potential needs a positive leading "
                              "coefficient")
@@ -165,8 +159,8 @@ class GasConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("particle count must be >= 1")
-        if not self.b > 0:
-            raise ValueError("weight exponent b must be > 0")
+        if not 0 < self.b < np.inf:
+            raise ValueError("weight exponent b must be finite and > 0")
 
 
 def check_growth(cfg):

@@ -19,7 +19,8 @@ Halley solve in delta = pi - v on the boundary parametrization
 w = -v*cot(v) + i*v, v in (0, pi), so Im(w) in (0, pi) holds by
 construction; written in cot(delta), a step takes one tan and no sin or
 cos (compare Fukushima, J. Comput. Appl. Math. 244 (2013), on evaluating
-W with few transcendental calls).
+W with few transcendental calls).  Every solve steps its whole batch and
+freezes each point at its own stop, so values do not depend on the batch.
 
 All entry points accept scalars or numpy arrays, are pure, and raise
 ValueError outside their domain, nan included.  numpy's SIMD tan, log and
@@ -68,9 +69,7 @@ def _halley(w0, z):
         # near the branch point 1 + w is small and rounding in f keeps the
         # step above the tolerance, cycling; a step no shorter than the last
         # with f at its rounding level ends there
-        cycling = ~done & (step >= last)
-        if cycling.any():
-            done[cycling] = np.abs(f[cycling]) <= floor[cycling]
+        done |= (step >= last) & (np.abs(f) <= floor)
         if done.all():
             return w
         last = step
@@ -81,10 +80,12 @@ def _asymptotic_newton(z):
     """Solve w + log(w) = log(z); overflow-safe for very large |z|."""
     l1 = np.log(np.asarray(z, dtype=complex))
     w = l1 - np.log(l1)
+    done = np.zeros(w.shape, dtype=bool)
     for _ in range(_MAX_ITER):
         dw = (l1 - w - np.log(w)) * w / (w + 1.0)
-        w = w + dw
-        if np.all(np.abs(dw) <= _STEP_TOL * (1.0 + np.abs(w))):
+        w = np.where(done, w, w + dw)
+        done |= np.abs(dw) <= _STEP_TOL * (1.0 + np.abs(w))
+        if done.all():
             return w
     raise LambertWError("asymptotic Newton iteration did not converge")
 
@@ -190,8 +191,9 @@ def lambert_w0_cut_above_log(tau):
     tighten the bracket [1e-14, pi - 1e-13]; a step that leaves it falls
     back to the midpoint.  A point stops when its residual reaches the
     rounding level of its four terms or its step is below 4e-16*delta, and
-    LambertWError is raised after _CUT_MAX_ITER steps.  Points iterate
-    independently, so results do not depend on the batch.
+    LambertWError is raised after _CUT_MAX_ITER steps.  The whole batch
+    steps together and each point freezes at its own stop, so a batch takes
+    as many steps as its slowest point and values do not depend on the batch.
     """
     t = np.atleast_1d(np.asarray(tau, dtype=float))
     if not np.all(t > -1.0):
@@ -205,26 +207,25 @@ def lambert_w0_cut_above_log(tau):
     d = np.where(t < 2.0, np.pi - np.sqrt(2.0 * (t + 1.0)),
                  np.pi / (big - lg + lg / big))
     d = np.clip(d, dlo, dhi)
-    todo = np.arange(t.size)
+    done = np.zeros(t.shape, dtype=bool)
     for _ in range(_CUT_MAX_ITER):
-        dk, tk, lo, hi = d[todo], t[todo], dlo[todo], dhi[todo]
-        v = np.pi - dk
-        q = 1.0 / np.tan(dk)
+        v = np.pi - d
+        q = 1.0 / np.tan(d)
         c2 = 1.0 + q * q
         a, b, c = np.log(v), 0.5 * np.log(c2), v * q
-        h = a + b + c - tk
+        h = a + b + c - t
         h1 = -1.0 / v - 2.0 * q - v * c2
         h2 = c2 * (3.0 + 2.0 * c) - 1.0 / (v * v)
         right = h > 0.0             # h decreases in delta; root lies at larger delta
-        lo = np.where(right, dk, lo)
-        hi = np.where(right, hi, dk)
-        nxt = dk - 2.0 * h * h1 / (2.0 * h1 * h1 - h * h2)
-        nxt = np.where((nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
-        noise = 4.0 * _EPS * (np.abs(a) + np.abs(b) + np.abs(c) + np.abs(tk))
-        done = (np.abs(h) <= noise) | (np.abs(nxt - dk) <= 4e-16 * dk)
-        d[todo], dlo[todo], dhi[todo] = nxt, lo, hi
-        todo = todo[~done]
-        if todo.size == 0:
+        dlo = np.where(right, d, dlo)
+        dhi = np.where(right, dhi, d)
+        nxt = d - 2.0 * h * h1 / (2.0 * h1 * h1 - h * h2)
+        nxt = np.where((nxt >= dlo) & (nxt <= dhi), nxt, 0.5 * (dlo + dhi))
+        noise = 4.0 * _EPS * (np.abs(a) + np.abs(b) + np.abs(c) + np.abs(t))
+        stop = (np.abs(h) <= noise) | (np.abs(nxt - d) <= 4e-16 * d)
+        d = np.where(done, d, nxt)
+        done |= stop
+        if done.all():
             break
     else:
         raise LambertWError("Halley iteration on the cut did not converge")

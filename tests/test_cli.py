@@ -88,6 +88,14 @@ class TestDispatch:
         ("equilibrium", "--grid", "30", "--max-iter", "-1"),
         ("rate-largest", "--grid", "30", "--x-max", "nan"),
         ("rate-largest", "--grid", "30", "--x-max", "0.1"),     # below b_eq
+        ("sample-gas", "--n", "4", "--V", "poly:0,1,inf", "--steps", "5", "--burn-in", "5"),
+        ("sample-gas", "--n", "4", "--V", "poly:nan,1", "--steps", "5", "--burn-in", "5"),
+        ("equilibrium", "--grid", "30", "--V", "linear:inf"),
+        ("equilibrium", "--grid", "30", "--g", "power:inf"),
+        ("equilibrium", "--grid", "30", "--b", "inf"),
+        ("sample-matrix", "--n", "3", "--theta", "nan"),
+        ("sample-matrix", "--n", "3", "--theta", "inf"),
+        ("sample-matrix", "--n", "3", "--b", "inf"),
     ])
     def test_invalid_request_is_validation_error(self, tmp_path, capsys, argv):
         out = tmp_path / "out"

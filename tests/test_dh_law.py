@@ -134,9 +134,11 @@ class TestCdfQuantile:
             with pytest.raises(ValueError):
                 law.quantile(bad)
 
+    @pytest.mark.filterwarnings("error")        # a frozen level must not warn
     def test_quantile_batch_invariant(self, law):
-        # saturated, region A, middle, edge and beyond-total-mass levels
-        p = np.array([1e-4, 1.35e-3, 2e-3, 0.03925, 0.1, 0.5, 0.9, 0.999,
+        # subnormal delta (stopped by np.spacing), saturated, region A,
+        # middle, edge and beyond-total-mass levels
+        p = np.array([1e-310, 1e-4, 1.35e-3, 2e-3, 0.03925, 0.1, 0.5, 0.9, 0.999,
                       1.0 - 1e-9, 1.0 - 1e-12])
         q = law.quantile(p)
         assert all(q[k] == law.quantile(pk) for k, pk in enumerate(p))

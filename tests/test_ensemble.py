@@ -20,6 +20,9 @@ class TestParams:
             en.EnsembleParams(n=4, theta=-0.5, b=1.0, seed=0)
         with pytest.raises(ValueError):
             en.EnsembleParams(n=4, theta=0.0, b=0.0, seed=0)
+        for theta, b in ((np.nan, 1.0), (np.inf, 1.0), (0.0, np.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                en.EnsembleParams(n=4, theta=theta, b=b, seed=0)
 
 
 class TestSampleTriangular:

@@ -53,9 +53,9 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-# kept public without a package caller: the proof-lab tests use it as the
-# reference derivative
-UNCALLED_ALLOWED = {"GFunction.deriv"}
+# kept public without a package caller: TestKkt and TestMinimize use it as
+# the independent KKT reference for the solver's own residual
+UNCALLED_ALLOWED = {"kkt_residual"}
 
 
 def public_definitions(source):
@@ -81,33 +81,45 @@ def private_functions(source):
 
 
 def used_names(source):
-    """Names read as a bare name or an attribute, or imported by name,
-    anywhere in the source, except inside the definition that binds the
-    same name."""
-    used = set()
+    """(top, any): names used anywhere in the source, except inside the
+    definition that binds the same name.  `top` holds what can reach a
+    top-level definition: a bare name read (not stored), a name imported, or
+    an attribute read on a module bound by an import (function-local imports
+    included).  `any` adds every attribute, which is all a method call
+    shows."""
+    tree = ast.parse(source)
+    modules = {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+               if isinstance(node, ast.Import)
+               or isinstance(node, ast.ImportFrom) and node.module is None
+               for alias in node.names}
+    top, attrs = set(), set()
 
     def visit(node, enclosing):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             enclosing = enclosing | {node.name}
-        elif isinstance(node, ast.Name) and node.id not in enclosing:
-            used.add(node.id)
+        elif (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+              and node.id not in enclosing):
+            top.add(node.id)
         elif isinstance(node, ast.Attribute) and node.attr not in enclosing:
-            used.add(node.attr)
+            attrs.add(node.attr)
+            if isinstance(node.value, ast.Name) and node.value.id in modules:
+                top.add(node.attr)
         elif isinstance(node, ast.alias):
-            used.add(node.name)
+            top.add(node.name)
         for child in ast.iter_child_nodes(node):
             visit(child, enclosing)
 
-    visit(ast.parse(source), frozenset())
-    return used
+    visit(tree, frozenset())
+    return top, top | attrs
 
 
 def uncalled(sources, definitions):
     """Names that definitions(source) lists for some package source and
-    that no package source names outside their own definition."""
-    used = set().union(*(used_names(src) for src in sources))
+    that no package source uses outside their own definition: a top-level
+    name by the `top` rule of used_names, a method by any attribute read."""
+    top, anywhere = (set().union(*names) for names in zip(*map(used_names, sources)))
     return [name for src in sources for name in definitions(src)
-            if name.rsplit(".", 1)[-1] not in used]
+            if name.rsplit(".", 1)[-1] not in (anywhere if "." in name else top)]
 
 
 def test_uncalled_checker():
@@ -122,6 +134,16 @@ def test_uncalled_checker():
            "    def _hidden(self):\n        pass\n")
     caller = "from .lib import used, Box\nBox().put(used())\n"
     assert uncalled([lib, caller], public_definitions) == ["orphan", "Box.get"]
+    # a stored name or an attribute of a non-module reaches no top-level
+    # function of the same name; an attribute read on a module bound by an
+    # import, even inside a function, does
+    lib += ("def shadowed():\n    pass\n"
+            "def via_module():\n    pass\n"
+            "def via_local_import():\n    pass\n")
+    caller += ("from . import lib\nlib.via_module()\nBox().shadowed\nshadowed = 0\n"
+               "def run():\n    from . import lib as other\n"
+               "    return other.via_local_import()\nrun()\n")
+    assert uncalled([lib, caller], public_definitions) == ["orphan", "Box.get", "shadowed"]
     assert uncalled([lib, caller], private_functions) == ["_private"]
 
 
