@@ -104,14 +104,15 @@ def dh_moment_exact(k):
 
 
 def dh_stieltjes(z):
-    """Stieltjes transform -1 + exp(W0(-1/z)) on the upper half-plane."""
+    """Stieltjes transform -1 + exp(W0(-1/z)) on the upper half-plane,
+    formed as expm1 so that it keeps full relative precision at large |z|."""
     arr = np.asarray(z, dtype=complex)
     scalar = arr.ndim == 0
     zc = np.atleast_1d(arr).astype(complex)
     if not (np.all(np.isfinite(zc)) and np.all(zc.imag > 0.0)):
         raise ValueError("dh_stieltjes requires finite z with Im(z) > 0")
     w = special.lambert_w0_complex(-1.0 / zc)
-    s = -1.0 + np.exp(w)
+    s = np.expm1(w)
     return complex(s[0]) if scalar else s
 
 

@@ -43,7 +43,8 @@ class EnsembleParams:
 def rng_stream(seed, stream=0):
     """Philox generator keyed by (seed, stream); streams are independent."""
     return np.random.Generator(
-        np.random.Philox(key=[int(seed) & _MASK64, int(stream) & _MASK64]))
+        np.random.Philox(key=np.array([int(seed) & _MASK64, int(stream) & _MASK64],
+                                      dtype=np.uint64)))
 
 
 def sample_triangular(params, trial=0):

@@ -12,41 +12,36 @@ Fixing the nodes and optimizing only the weights keeps the problem convex.
 
 Its KKT conditions are the discrete Frostman conditions: the gradient
 d = Mw + V equals a constant c on the support and is no smaller off it
-(Saff & Totik, Logarithmic Potentials with External Fields, 1997).  The
-solver is a primal active-set method in the style of Lawson-Hanson NNLS
-(Solving Least Squares Problems, 1974).  Each iteration solves the problem
-restricted to the current face S of k nodes exactly, through the bordered
-saddle system
+(Saff & Totik, Logarithmic Potentials with External Fields, 1997).  They
+form a linear complementarity problem, which the solver treats by block
+principal pivoting (Judice & Pires, Comput. Oper. Res. 21(5), 1994; Kim &
+Park, SIAM J. Sci. Comput. 33(6), 2011).  It keeps a partition of the
+nodes into a free set F and a zero set.  F starts as the support of w0,
+every node by default.  Each iteration solves the problem restricted to F
+exactly, by one fresh factorization of the bordered system
 
     [0  1'  ] [-c]   [   1]
-    [1  M_SS] [ z] = [-V_S],
+    [1  M_FF] [ z] = [-V_F],
 
-which is nonsingular because M is positive definite on sum-zero vectors.
-If z has a nonpositive entry, w steps toward z until its first weight
-reaches zero and that node leaves the face; otherwise w moves to z and the
-off-support node of smallest gradient joins the face if it violates the
-conditions by more than tol.  Off-support weights are exact zeros.
+which is nonsingular because M is positive definite on sum-zero vectors,
+and forms the slack y = Mz + V - c off F.  An index is infeasible if z < 0
+on F or y < -tol off F; when none is, the loop ends.  Otherwise every
+infeasible index changes side (a full exchange) while their count falls.
+Up to _FULL_EXCHANGES full exchanges that do not lower the count are
+allowed; after that only the largest infeasible index changes side,
+Murty's backup rule (Linear Complementarity, Linear and Nonlinear
+Programming, 1988), which makes the method finite on strictly monotone
+problems.  The acceptance grids take 8 or 9 face solves.
 
-The solver keeps the inverse B of the saddle matrix across iterations, so
-each face solve is the O(k^2) product of B with the right-hand side.  A
-node that leaves the face is swapped into the last row and column of B,
-and the rank-one deletion B - B[:,j] B[j,:] / B[j,j] (Golub & Van Loan,
-Matrix Computations, sec. 2.1.4) leaves in the leading block the inverse
-for the smaller face, again in O(k^2); a step that zeroes several weights
-deletes each of those nodes in turn.  B is built from scratch, in O(k^3),
-at the start, when a node joins the face, and when a face solve's residual
-max(|M_SS z - c + V_S|, |sum z - 1|) exceeds _DRIFT_BOUND; that solve is
-then redone on the new B.  The report's refactors counts these drift
-rebuilds.  On the acceptance grids the solve starts from the full support
-and only drops nodes, so the first build is its only factorization.
-
-Termination is by the KKT residual
+The weights returned are max(z, 0) of the last face solve rescaled to sum
+1, whether the loop ended or max_iter face solves cut it, so off-support
+weights are exact zeros.  Their KKT residual
 
     max( c - min_i d_i,  max_{i in support} |d_i - c| ),   c = sum w_i d_i,
 
-with the support {w > 0}; its last node is the endpoint b_eq reported
-for the largest-particle rate function J, whose additive constant is
-fixed by J(b_eq) = 0.
+with the support {w > 0}, decides converged (residual <= tol).  The
+support's last node is the endpoint b_eq reported for the largest-particle
+rate function J, whose additive constant is fixed by J(b_eq) = 0.
 """
 
 from dataclasses import dataclass
@@ -62,13 +57,11 @@ from .measures import (GridMeasure, energy_kernel, log_energy_grid,  # noqa: F40
 
 @dataclass
 class SolverReport:
-    """Minimizer plus diagnostics.  iterations counts face solves and
-    refactors the face solves redone on a rebuilt saddle inverse after
-    their residual failed the drift check; converged=False means the cap
-    max_iter was reached before the KKT residual met tol, and the last
-    iterate is reported.  objective_trace holds the objective after each
-    face solve, non-increasing since every step moves toward a face
-    minimizer."""
+    """Minimizer plus diagnostics.  iterations counts face solves.  The
+    weights are those of the last face solve, clipped at 0 and rescaled,
+    also when max_iter cut the solve; kkt_residual is measured on exactly
+    these weights and converged is kkt_residual <= tol, so a capped solve
+    reports converged=False with the residual it reached."""
 
     minimizer: GridMeasure
     objective: float
@@ -76,9 +69,7 @@ class SolverReport:
     b_eq: float
     kappa: float
     iterations: int
-    refactors: int
     converged: bool
-    objective_trace: np.ndarray = None
 
     def to_dict(self):
         return {
@@ -89,15 +80,14 @@ class SolverReport:
             "b_eq": self.b_eq,
             "kappa": self.kappa,
             "iterations": self.iterations,
-            "refactors": self.refactors,
             "converged": self.converged,
         }
 
 
 _GEO_UNTIL = 0.1     # make_grid spaces nodes geometrically below this
-# a face solve whose saddle residual exceeds this is redone on a rebuilt
-# inverse; fresh solves on the acceptance grids read about 1e-14
-_DRIFT_BOUND = 1e-12
+# full exchanges that do not lower the infeasible count before the solve
+# falls back to swapping one index (Murty's backup rule)
+_FULL_EXCHANGES = 3
 
 
 def make_grid(n, lo, hi, geo_fraction=0.25):
@@ -152,11 +142,12 @@ def kkt_residual(m, cfg):
 
 
 def minimize_I(cfg, grid, tol=1e-6, max_iter=200_000, w0=None):
-    """Primal active-set solve of the discrete rate functional, started
-    from the support of w0 (all nodes, uniform weights, by default).
+    """Block-principal-pivoting solve of the discrete rate functional, its
+    partition started from the support of w0 (all nodes by default).
 
     Returns a SolverReport; converged=False (max_iter face solves without
-    meeting tol) still carries the last iterate.
+    meeting tol) still carries max(z, 0) of the last face solve, rescaled,
+    or the rescaled w0 (uniform by default) when max_iter is 0.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -172,82 +163,39 @@ def minimize_I(cfg, grid, tol=1e-6, max_iter=200_000, w0=None):
         if w.size != m or np.any(w < 0) or not w.sum() > 0:
             raise ValueError("w0 must be a nonnegative weight vector on the grid")
         w = w / w.sum()
-    s = np.flatnonzero(w > 0)
-    inv = _saddle_inverse(mat, s)
-    grad = mat @ w + vv
-    obj = 0.5 * float(w @ (grad + vv))
-    kkt = _kkt(grad, w)
-    iterations = refactors = 0
-    trace = [obj]
-    while kkt > tol and iterations < max_iter:
+    free = w > 0
+    fewest, spare = m + 1, _FULL_EXCHANGES
+    iterations = 0
+    while iterations < max_iter:
         iterations += 1
-        k = s.size
-        rhs = np.concatenate(([1.0], -vv[s]))
-        y = inv[:k + 1, :k + 1] @ rhs
-        if _face_residual(mat, vv, s, y) > _DRIFT_BOUND:
-            refactors += 1
-            inv = _saddle_inverse(mat, s)
-            y = inv @ rhs
-        z = y[1:]
-        blocked = z <= 0
-        if blocked.any():
-            ws = w[s]
-            ratios = ws[blocked] / (ws[blocked] - z[blocked])
-            ws += ratios.min() * (z - ws)
-            ws[np.flatnonzero(blocked)[ratios.argmin()]] = 0.0
-            w[s] = np.maximum(ws, 0.0)
-            # descending, so each swap brings a staying node into the slot
-            for p in np.flatnonzero(w[s] == 0)[::-1]:
-                s = _drop_slot(inv, s, p)
+        f = np.flatnonzero(free)
+        a = np.ones((f.size + 1, f.size + 1))
+        a[0, 0] = 0.0
+        a[1:, 1:] = mat[np.ix_(f, f)]
+        sol = np.linalg.solve(a, np.concatenate(([1.0], -vv[f])))
+        z = np.zeros(m)
+        z[f] = sol[1:]
+        w = np.maximum(z, 0.0)
+        w /= w.sum()
+        y = mat[:, f] @ sol[1:] + vv + sol[0]
+        bad = np.flatnonzero(np.where(free, z < 0, y < -tol))
+        if bad.size == 0:
+            break
+        if bad.size < fewest:
+            fewest, spare = bad.size, _FULL_EXCHANGES
+        elif spare:
+            spare -= 1
         else:
-            w[s] = z
-        grad = mat @ w + vv
-        obj = 0.5 * float(w @ (grad + vv))
-        trace.append(obj)
-        kkt = _kkt(grad, w)
-        if not blocked.any():
-            off = np.where(w > 0, np.inf, grad)
-            j = off.argmin()
-            if float(w @ grad) - off[j] > tol:
-                s = np.append(s, j)
-                inv = _saddle_inverse(mat, s)
+            bad = bad[-1:]          # Murty's backup rule
+        free[bad] = ~free[bad]
+    grad = mat @ w + vv
+    kkt = _kkt(grad, w)
     minimizer = GridMeasure(nodes, w)
     b_eq = _support_endpoint(minimizer)
     kappa = _effective_potential(np.array([b_eq]), minimizer, cfg)[0]
-    return SolverReport(minimizer=minimizer, objective=obj, kkt_residual=kkt,
-                        b_eq=b_eq, kappa=kappa, iterations=iterations,
-                        refactors=refactors, converged=kkt <= tol,
-                        objective_trace=np.array(trace))
-
-
-def _saddle_inverse(mat, s):
-    """Inverse of the bordered face matrix [[0, 1'], [1, M_SS]], its row and
-    column 0 for the multiplier and p + 1 for node s[p]."""
-    a = np.ones((s.size + 1, s.size + 1))
-    a[0, 0] = 0.0
-    a[1:, 1:] = mat[np.ix_(s, s)]
-    return np.linalg.inv(a)
-
-
-def _face_residual(mat, vv, s, y):
-    """max(|M_SS z - c + v_S|, |sum z - 1|) of y = (-c, z) on the face s."""
-    z_full = np.zeros(mat.shape[0])
-    z_full[s] = y[1:]
-    r = (mat @ z_full)[s] + vv[s] + y[0]
-    return max(float(np.abs(r).max()), abs(float(y[1:].sum()) - 1.0))
-
-
-def _drop_slot(inv, s, p):
-    """Delete node slot p from the face: swap it into the last live slot of
-    the inverse, then apply the rank-one deletion B - B[:,j] B[j,:] / B[j,j]
-    to the leading block, in place.  Returns the face shortened by one."""
-    k = s.size
-    inv[[p + 1, k], :k + 1] = inv[[k, p + 1], :k + 1]
-    inv[:k + 1, [p + 1, k]] = inv[:k + 1, [k, p + 1]]
-    s[[p, k - 1]] = s[[k - 1, p]]
-    live = inv[:k, :k]
-    live -= np.outer(inv[:k, k], inv[k, :k] / inv[k, k])
-    return s[:k - 1]
+    return SolverReport(minimizer=minimizer, objective=0.5 * float(w @ (grad + vv)),
+                        kkt_residual=kkt, b_eq=b_eq, kappa=kappa,
+                        iterations=iterations, converged=kkt <= tol)
 
 
 def _support_endpoint(mu):

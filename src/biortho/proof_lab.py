@@ -41,8 +41,8 @@ class NiceMeasure:
 def uniform_nice(a, b):
     """Uniform law on [a, b]; C = max(1/(b-a), b-a), energy 3/2 - log(b-a)."""
     a, b = float(a), float(b)
-    if not (0 < a < b):
-        raise ValueError("need 0 < a < b")
+    if not 0 < a < b < np.inf:
+        raise ValueError("need finite 0 < a < b")
     width = b - a
     dens = 1.0 / width
 

@@ -12,14 +12,15 @@ regime-dependent starting points, after Corless, Gonnet, Hare, Jeffrey and
 Knuth, "On the Lambert W function", Adv. Comput. Math. 5 (1996):
 the square-root expansion sqrt(2e(z + 1/e)) - 1 within 1.5 of the branch
 point -1/e, log(z) - log(log(z)) beyond it, and for |z| >= 1e290 Newton on
-w + log(w) = log(z).  The real branch is the real part of this complex
-solve.  An upper-half-plane result outside the strip 0 < Im w < pi raises
-instead of being repaired.  On the cut the value comes from one bracketed
-Halley solve in delta = pi - v on the boundary parametrization
-w = -v*cot(v) + i*v, v in (0, pi), so Im(w) in (0, pi) holds by
-construction; written in cot(delta), a step takes one tan and no sin or
-cos (compare Fukushima, J. Comput. Appl. Math. 244 (2013), on evaluating
-W with few transcendental calls).  Every solve steps its whole batch and
+w + log(w) = log(z).  Below |z| = 2^-20 the value is the Taylor polynomial
+z - z^2 + 3z^3/2, with no refinement.  The real branch is the real part of
+this complex solve.  An upper-half-plane result outside the strip
+0 < Im w < pi raises instead of being repaired.  On the cut the value
+comes from one bracketed Halley solve in delta = pi - v on the boundary
+parametrization w = -v*cot(v) + i*v, v in (0, pi), so Im(w) in (0, pi)
+holds by construction; written in cot(delta), a step takes one tan and no
+sin or cos (compare Fukushima, J. Comput. Appl. Math. 244 (2013), on
+evaluating W with few transcendental calls).  Every solve steps its whole batch and
 freezes each point at its own stop, so values do not depend on the batch.
 
 All entry points accept scalars or numpy arrays, are pure, and raise
@@ -35,6 +36,7 @@ _BRANCH_SLACK = 1e-15          # tolerated undershoot below -1/e on the real axi
 _MAX_ITER = 100
 _STEP_TOL = 1e-15              # |dw| <= tol*(1+|w|) declares convergence
 _HUGE = 1e290                  # above this |z|, w*exp(w) can overflow; use log form
+_SMALL = 2.0 ** -20            # below this |z|, W0 is its cubic Taylor polynomial
 _CUT_MAX_ITER = 50             # a dense sweep of tau over (-1, 1e12] needs at most 4
 _EPS = np.finfo(float).eps
 _TINY = float(np.nextafter(0.0, 1.0))
@@ -136,21 +138,25 @@ def lambert_w0_complex(z):
 
 
 def _w0_off_cut(zc):
-    """Halley solve for W0 at a 1-d complex array of finite z off the open
-    cut, from the regime's starting point; the branch is not checked."""
+    """W0 at a 1-d complex array of finite z off the open cut: the cubic
+    series below _SMALL, else a Halley solve from the regime's starting
+    point; the branch is not checked."""
     w = np.empty_like(zc)
-    zero = zc == 0
-    w[zero] = 0.0
-    near = ~zero & (np.abs(zc - BRANCH_POINT) <= 1.5)
+    # the series z - z^2 + 3z^3/2 is exact to (8/3)|z|^3 relative; Halley's
+    # absolute stop test would end there on a relatively inaccurate w
+    small = np.abs(zc) < _SMALL
+    zs = zc[small]
+    w[small] = zs * (1.0 - zs * (1.0 - 1.5 * zs))
+    near = ~small & (np.abs(zc - BRANCH_POINT) <= 1.5)
     w[near] = np.sqrt(2.0 * np.e * (zc[near] - BRANCH_POINT)) - 1.0
     huge = np.abs(zc) >= _HUGE
-    far = ~zero & ~near & ~huge
+    far = ~small & ~near & ~huge
     if far.any():
         l1 = np.log(zc[far])
         w[far] = l1 - np.log(l1)
     if huge.any():
         w[huge] = _asymptotic_newton(zc[huge])
-    refine = ~zero & ~huge
+    refine = ~small & ~huge
     if refine.any():
         w[refine] = _halley(w[refine], zc[refine])
     return w

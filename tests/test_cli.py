@@ -96,6 +96,8 @@ class TestDispatch:
         ("sample-matrix", "--n", "3", "--theta", "nan"),
         ("sample-matrix", "--n", "3", "--theta", "inf"),
         ("sample-matrix", "--n", "3", "--b", "inf"),
+        ("quantile-check", "--dist", "uniform:1,inf"),
+        ("quantile-check", "--dist", "uniform:nan,2"),
     ])
     def test_invalid_request_is_validation_error(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
@@ -248,7 +250,6 @@ class TestEquilibriumCommand:
         assert len(payload["nodes"]) == 60
         assert sum(payload["weights"]) == pytest.approx(1.0, abs=1e-9)
         assert payload["kkt_residual"] <= 1e-3
-        assert payload["refactors"] == 0
         assert payload["iterations"] > 0
         assert payload["run_config"]["subcommand"] == "equilibrium"
         svg = plot.read_text()

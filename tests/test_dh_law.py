@@ -197,6 +197,14 @@ class TestStieltjes:
         z = 1e6j
         assert abs(dh_law.dh_stieltjes(z) - (-1.0 / z)) <= 1e-5
 
+    @pytest.mark.parametrize("r", [1e8, 1e12, 1e16, 1e100])
+    def test_large_modulus_relative_error(self, r):
+        # S(z) = -1/z - 1/(2z^2) - 2/(3z^3) + O(z^-4) from the first two
+        # moments; -1 + exp(W0(-1/z)) lost 2.2e-5 relative at 1e12 + i
+        z = complex(r, 1.0)
+        ref = -1.0 / z - 1.0 / (2.0 * z * z) - 2.0 / (3.0 * z ** 3)
+        assert abs(dh_law.dh_stieltjes(z) - ref) <= 2e-16 * abs(ref)
+
     def test_quadrature_oracle_at_i(self):
         # direct integral of d(mu)/(x - i) over the three smooth charts,
         # sharing only the density evaluator with the closed form under test

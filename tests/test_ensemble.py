@@ -157,3 +157,12 @@ def test_sample_spectra_matches_per_trial():
     assert len(batch) == 6
     for a, b in zip(per_trial, batch):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.filterwarnings("error")        # a numpy warning fails the test
+def test_negative_seed_keeps_its_own_stream():
+    # a seed maps to its 64-bit two's complement key: -1 is 2^64 - 1,
+    # not the word 0 of seed 0
+    minus_one = en.rng_stream(-1).standard_normal(4)
+    assert not np.array_equal(minus_one, en.rng_stream(0).standard_normal(4))
+    assert np.array_equal(minus_one, en.rng_stream(2 ** 64 - 1).standard_normal(4))

@@ -1,10 +1,15 @@
 """Lambert W: oracle values, residual contracts, branch selection."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.special
 
 from biortho import special
+
+EPS = np.finfo(float).eps
 
 
 def bisect_real_w(x, lo, hi, iters=200):
@@ -79,6 +84,40 @@ class TestReal:
     def test_scalar_and_array(self):
         assert isinstance(special.lambert_w0_real(1.0), float)
         assert special.lambert_w0_real(np.array([1.0, 2.0])).shape == (2,)
+
+
+def taylor_w(z, terms=8):
+    """W0 near 0 from its series sum (-k)^(k-1) z^k / k!, summed exactly in
+    rationals with z split into real and imaginary parts, then rounded."""
+    re, im = Fraction(z.real), Fraction(z.imag)
+    pre, pim, sre, sim = Fraction(1), Fraction(0), Fraction(0), Fraction(0)
+    for k in range(1, terms + 1):
+        pre, pim = pre * re - pim * im, pre * im + pim * re
+        c = Fraction((-k) ** (k - 1), math.factorial(k))
+        sre, sim = sre + c * pre, sim + c * pim
+    return complex(float(sre), float(sim))
+
+
+class TestSmallArgument:
+    # |z| < 2^-20 takes the series z - z^2 + 3z^3/2; Halley's step test,
+    # absolute once |w| << 1, used to stop there on a relatively wrong w
+    @pytest.mark.parametrize("x", [1e-8, -1e-8, 1e-20, -1e-20, 1e-50, -1e-50,
+                                   1e-300, 2.0 ** -20 * 0.999])
+    def test_real_to_two_ulp(self, x):
+        ref = taylor_w(complex(x)).real
+        assert abs(special.lambert_w0_real(x) - ref) <= 2 * EPS * abs(ref)
+
+    @pytest.mark.parametrize("z", [-1e-50 + 1e-100j, 1e-20 + 1e-20j,
+                                   -3e-9 + 2e-12j, 5e-7 - 4e-7j])
+    def test_complex_to_two_ulp(self, z):
+        ref = taylor_w(z)
+        w = special.lambert_w0_complex(z)
+        assert abs(w.real - ref.real) <= 2 * EPS * abs(ref.real)
+        assert abs(w.imag - ref.imag) <= 2 * EPS * abs(ref.imag)
+
+    def test_zero_stays_exact(self):
+        assert special.lambert_w0_real(0.0) == 0.0
+        assert special.lambert_w0_complex(0j) == 0j
 
 
 class TestComplex:
