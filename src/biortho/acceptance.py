@@ -31,7 +31,7 @@ def _id_config():
 
 @functools.cache
 def _dh_discretization(m=2000):
-    law = dh_law.default_law()
+    law = dh_law.DHLaw()
     return EmpiricalMeasure(law.quantile((np.arange(m) + 0.5) / m))
 
 
@@ -69,7 +69,7 @@ def _spectra(n, theta, b, seed, trials):
 
 def criterion_1_moments():
     """DHLaw.moment_numeric vs k^k/(k+1)! for k = 0..6, rel. error <= 1e-6."""
-    law = dh_law.default_law()
+    law = dh_law.DHLaw()
     worst = 0.0
     for k in range(7):
         exact = dh_law.dh_moment_exact(k)

@@ -33,16 +33,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _parse_complex(text):
+def _parse_pair(text):
+    """The two floats of "A,B"."""
     parts = text.split(",")
     if len(parts) != 2:
-        raise ValueError(f"expected RE,IM, got {text!r}")
+        raise ValueError(f"expected A,B, got {text!r}")
     return float(parts[0]), float(parts[1])
-
-
-def _parse_domain(text):
-    lo, hi = (float(p) for p in text.split(","))
-    return lo, hi
 
 
 # ----------------------------------------------------------------------
@@ -125,7 +121,7 @@ def emit_svg(histogram, overlay=None, title=""):
 # subcommand handlers
 
 def _cmd_lambertw(args):
-    re_, im_ = _parse_complex(args.z)
+    re_, im_ = _parse_pair(args.z)
     if im_ == 0.0 and re_ < special.BRANCH_POINT:
         w = special.lambert_w0_cut_above(re_)
     else:
@@ -135,7 +131,7 @@ def _cmd_lambertw(args):
 
 
 def _cmd_dh(args):
-    law = dh_law.default_law()
+    law = dh_law.DHLaw()
     if args.op in ("density", "cdf", "quantile"):
         fn = {"density": dh_law.dh_density, "cdf": law.cdf,
               "quantile": law.quantile}[args.op]
@@ -157,11 +153,11 @@ def _cmd_dh(args):
         val = law.moment_numeric(args.k) if args.numeric else dh_law.dh_moment_exact(args.k)
         print(_g17(val))
     elif args.op == "stieltjes":
-        re_, im_ = _parse_complex(args.z)
+        re_, im_ = _parse_pair(args.z)
         s = dh_law.dh_stieltjes(complex(re_, im_))
         print(f"{s.real:.17g},{s.imag:.17g}")
     elif args.op == "rtransform":
-        re_, im_ = _parse_complex(args.z)
+        re_, im_ = _parse_pair(args.z)
         r = dh_law.dh_r_transform(complex(re_, im_))
         r = complex(r)
         print(f"{r.real:.17g},{r.imag:.17g}")
@@ -185,7 +181,7 @@ def _cmd_sample_gas(args):
     cfg = GasConfig(n=args.n, g=GFunction.parse(args.g),
                     v=Potential.parse(args.V), b=args.b)
     _, diag = mcmc_sample(cfg, steps=args.steps, burn_in=args.burn_in,
-                          seed=args.seed << 16, chains=args.chains)
+                          seed=args.seed, chains=args.chains)
     rows = [str(c) + "," + ",".join(_g17(v) for v in np.sort(x))
             for c, x in enumerate(diag.final)]
     header = "chain," + ",".join(f"x{i + 1}" for i in range(args.n))
@@ -200,9 +196,8 @@ def _solve(args):
     for."""
     cfg = GasConfig(n=max(args.grid, 2), g=GFunction.parse(args.g),
                     v=Potential.parse(args.V), b=args.b)
-    lo, hi = _parse_domain(args.domain)
-    report = equilibrium.minimize_I(cfg, equilibrium.make_grid(args.grid, lo, hi),
-                                    tol=args.tol, max_iter=args.max_iter)
+    grid = equilibrium.make_grid(args.grid, *_parse_pair(args.domain))
+    report = equilibrium.minimize_I(cfg, grid, tol=args.tol, max_iter=args.max_iter)
     return cfg, report
 
 
@@ -261,8 +256,7 @@ def _cmd_rate_largest(args):
 def _cmd_quantile_check(args):
     name, _, spec_arg = args.dist.partition(":")
     if name == "uniform":
-        a, b = (float(v) for v in spec_arg.split(","))
-        sigma = proof_lab.uniform_nice(a, b)
+        sigma = proof_lab.uniform_nice(*_parse_pair(spec_arg))
         e_half = 0.5 * sigma.analytic_energy
     elif name == "dh-trunc":
         sigma = proof_lab.truncated_dh(float(spec_arg))

@@ -247,15 +247,3 @@ class DHLaw:
         with np.errstate(under="ignore"):
             vals = weight * np.exp(k * log_x)
         return float(vals.sum())
-
-
-_DEFAULT_LAW = None
-
-
-def default_law():
-    """Shared DHLaw instance (built lazily, then read-only)."""
-    global _DEFAULT_LAW
-    if _DEFAULT_LAW is None:
-        _DEFAULT_LAW = DHLaw()
-    return _DEFAULT_LAW
-

@@ -7,8 +7,9 @@ e^{-r^2} r^{2(c_j-1)} in the modulus is exactly Gamma(c_j) in r^2).  The
 empirical spectral measure of S/n = T T*/n is the object of interest; at
 theta=0, b=1 all nonzero entries are i.i.d. standard complex Gaussians.
 
-Randomness comes from counter-based Philox streams keyed by (seed, trial),
-so each trial is reproducible on its own, whatever trials run before it.
+Randomness comes from counter-based Philox streams keyed by (seed, trial)
+(rng_stream, which also keys the gas sampler's chains), so each trial is
+reproducible on its own, whatever trials run before it.
 Trials run one after another; BLAS threads each SVD.
 """
 
@@ -41,7 +42,8 @@ class EnsembleParams:
 
 
 def rng_stream(seed, stream=0):
-    """Philox generator keyed by (seed, stream); streams are independent."""
+    """Philox generator keyed by (seed, stream), the stream a matrix trial
+    or a gas chain; streams are independent."""
     return np.random.Generator(
         np.random.Philox(key=np.array([int(seed) & _MASK64, int(stream) & _MASK64],
                                       dtype=np.uint64)))

@@ -18,9 +18,10 @@ retained samples come from a fixed reversible kernel.
 
 Several chains run in lock-step on one thread: coordinate i of every chain
 is updated by one set of numpy operations on (chains, n) arrays.  Chain c
-draws from its own Philox stream keyed by seed + c, and the arithmetic is
-the single-chain arithmetic in the same order, so each chain is bit for bit
-the single-chain run at key seed + c, whatever the number of chains.
+draws from ensemble.rng_stream(seed, c), the (seed, stream) key rule of the
+matrix trials, and the arithmetic is the single-chain arithmetic in the
+same order.  So chain c is bit for bit the same in every run of more than
+c chains at that seed, and chain 0 is the single-chain run.
 
 Each sweep forms all proposals up front and copies, per coordinate i, the
 proposal and the current value of x_i and g(x_i) into `centres`, shaped
@@ -38,6 +39,7 @@ from typing import Optional
 
 import numpy as np
 
+from .ensemble import rng_stream
 from .measures import EmpiricalMeasure
 
 # kind -> (g, log|g|), each a function of (x, theta); log|g| is
@@ -205,11 +207,10 @@ def mcmc_sample(cfg, steps, burn_in, seed, record_every=0, chains=1):
     landing within 1e-14 of another coordinate are rejected outright.
     record_every > 0 stores every so-many post-burn-in sweeps in the
     diagnostics trace, (chains, records, n).  Chain c draws from
-    Philox(key=seed + c) and is bit for bit the single-chain run with that
-    seed.  Runs at seeds s and s + 1 therefore share chains - 1 chains, so
-    a sweep over seeds must step them by at least the chain count.  Every
-    chain starts from the evenly spaced configuration x_i = 2(i + 1/2)/n,
-    i = 0..n-1.
+    ensemble.rng_stream(seed, c): it is bit for bit the same in every run
+    of more than c chains at that seed, and chain 0 is the single-chain
+    run.  Every chain starts from the evenly spaced configuration
+    x_i = 2(i + 1/2)/n, i = 0..n-1.
     """
     if steps < 1 or burn_in < 1:
         raise ValueError("steps and burn_in must be positive")
@@ -222,8 +223,7 @@ def mcmc_sample(cfg, steps, burn_in, seed, record_every=0, chains=1):
             "the rate functional would not confine this gas")
     t0 = time.perf_counter()
     n, k = cfg.n, chains
-    rngs = [np.random.Generator(np.random.Philox(key=(int(seed) + c) & (2 ** 64 - 1)))
-            for c in range(k)]
+    rngs = [rng_stream(seed, c) for c in range(k)]
     x0 = 2.0 * (np.arange(n) + 0.5) / n
     # state and proposals are ([x, g(x), log x, V(x)], chain, coordinate);
     # each channel is one contiguous (chains, n) block

@@ -267,8 +267,10 @@ def log_kernel_means(edges, points=None):
     of G and a cell-pair integral a second difference of F; their u and u^2
     parts difference exactly, their u^k log u parts by _step.  For cells of
     widths s <= L a gap D >= 0 apart the mean is 3/2 - [_step(D + L, s) -
-    _step(D, s)]/(2sL), the inner difference over the smaller cell; a cell
-    with itself gives -log h + 3/2.  A point inside a cell splits it in two.
+    _step(D, s)]/(2sL), the inner difference over the smaller cell.  It is
+    taken on the pair scaled exactly by 2^-e, where 2^(e-1) <= D + L < 2^e,
+    so that no product underflows; scaling cells by l adds -log l to the
+    mean, so e log 2 comes off it.  A cell with itself gives -log h + 3/2.  A point inside a cell splits it in two.
     """
     edges = np.asarray(edges, dtype=float)
     lo, hi = edges[:-1], edges[1:]
@@ -283,8 +285,10 @@ def log_kernel_means(edges, points=None):
             qi, qj = q.take(i), q[rows].repeat(r)
             s, big = np.minimum(qi, qj), np.maximum(qi, qj)
             gap = lo[rows].repeat(r) - hi.take(i)
-            k[i, j] = k[j, i] = 1.5 - (_step(gap + big, s, 2)
-                                       - _step(gap, s, 2)) / (2.0 * s * big)
+            e = np.frexp(gap + big)[1]
+            s, big, gap = (np.ldexp(v, -e) for v in (s, big, gap))
+            k[i, j] = k[j, i] = 1.5 - e * np.log(2.0) - (
+                _step(gap + big, s, 2) - _step(gap, s, 2)) / (2.0 * s * big)
         return k
     x = np.asarray(points, dtype=float)[:, None]
     gap = np.maximum(lo - x, x - hi)

@@ -62,7 +62,7 @@ def truncated_dh(lo, law=None):
     """Dykema-Haagerup law conditioned to [lo, e - lo].  Its density falls on
     (0, e), since in dh_law's cut parameter delta d log f/d delta =
     -(pi - delta)/sin^2 delta < 0 while x rises, so C comes from the ends."""
-    law = law or dh_law.default_law()
+    law = law or dh_law.DHLaw()
     lo = float(lo)
     hi = float(np.e - lo)
     if not (0 < lo < hi):
@@ -277,7 +277,8 @@ def box_mass_log_rate(grid):
 
 def nice_energy(sigma, g=None, n0=256, tol=1e-6, max_doublings=4):
     """Logarithmic energy of sigma (or of g_* sigma): the mean of the exact
-    cell-pair kernel (measures.log_kernel_means) over n equal-mass cells;
+    cell-pair kernel (measures.log_kernel_means) over the n equal-mass
+    cells of build_quantile_grid(sigma, n), mapped by g when given;
     the cell count doubles until two resolutions agree to tol.
 
     Raises RuntimeError when max_doublings doublings leave no two
@@ -287,8 +288,7 @@ def nice_energy(sigma, g=None, n0=256, tol=1e-6, max_doublings=4):
     prev = None
     n = n0
     for _ in range(max_doublings + 1):
-        edges = np.asarray(sigma.quantile(np.arange(n + 1) / n), dtype=float)
-        edges[0], edges[-1] = sigma.a, sigma.b
+        edges = build_quantile_grid(sigma, n).a
         if g is not None:
             edges = g(edges)
         val = float(log_kernel_means(edges).mean())

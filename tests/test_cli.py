@@ -98,6 +98,9 @@ class TestDispatch:
         ("sample-matrix", "--n", "3", "--b", "inf"),
         ("quantile-check", "--dist", "uniform:1,inf"),
         ("quantile-check", "--dist", "uniform:nan,2"),
+        ("equilibrium", "--domain", "1,2,3"),
+        ("equilibrium", "--domain", "1"),
+        ("quantile-check", "--dist", "uniform:1"),
     ])
     def test_invalid_request_is_validation_error(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
@@ -106,6 +109,14 @@ class TestDispatch:
         code, stdout, err = run(capsys, *argv)
         assert code == 1 and stdout == "" and not out.exists()
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv,text", [
+        (("equilibrium", "--domain", "1,2,3", "--out", "unused"), "1,2,3"),
+        (("quantile-check", "--dist", "uniform:1"), "1"),
+        (("lambertw", "--z", "1"), "1"),
+    ])
+    def test_pair_error_names_the_input(self, capsys, argv, text):
+        assert run(capsys, *argv) == (1, "", f"error: expected A,B, got {text!r}\n")
 
     def test_cdf_at_nan_prints_nan(self, capsys):
         assert run(capsys, "dh", "cdf", "--x", "nan") == (0, "nan\n", "")
@@ -117,7 +128,7 @@ class TestDispatch:
         csv = run(capsys, "dh", "cdf", "--csv", "--grid-points", "5")
         assert csv[0] == 0 and len(csv[1].splitlines()) == 6
         code, out, _ = run(capsys, "dh", "cdf", "--x", "1.0")
-        assert code == 0 and out == f"{dh_law.default_law().cdf(1.0):.17g}\n"
+        assert code == 0 and out == f"{dh_law.DHLaw().cdf(1.0):.17g}\n"
         assert run(capsys, "lambertw", "--bogus", "1")[0] == 1
         assert run(capsys, "lambertw", "--z", "1,0")[0] == 0
         for chains in (3, 1):
@@ -171,7 +182,7 @@ class TestDhCommand:
         # per row prints
         code, out, _ = run(capsys, "dh", op, "--csv", "--grid-points", "60")
         assert code == 0
-        law = dh_law.default_law()
+        law = dh_law.DHLaw()
         fn = {"density": dh_law.dh_density, "cdf": law.cdf,
               "quantile": law.quantile}[op]
         if op == "quantile":
@@ -214,21 +225,22 @@ class TestSampleGas:
         assert len(lines) == 3
 
     def test_chains_match_single_chain_runs(self, tmp_path, capsys):
+        # row c is the sampler's chain c at the given seed, and row 0 the
+        # single-chain run at that seed: the CLI passes --seed through
         out = tmp_path / "gas.csv"
-        seed = 3
         code, msg, _ = run(capsys, "sample-gas", "--n", "6", "--g", "log",
                            "--steps", "50", "--burn-in", "30", "--chains", "3",
-                           "--seed", str(seed), "--out", str(out))
+                           "--seed", "3", "--out", str(out))
         assert code == 0
         rows = out.read_text().splitlines()[1:]
         cfg = GasConfig(6, GFunction("log"), Potential.linear(1.0), 1.0)
-        rates = []
-        for c, row in enumerate(rows):
-            meas, diag = mcmc_sample(cfg, steps=50, burn_in=30, seed=(seed << 16) + c)
-            assert row == f"{c}," + ",".join(f"{v:.17g}" for v in meas.points)
-            rates.append(f"{diag.acceptance_rate:.3f}")
-        assert len(rows) == 3
-        assert msg.rstrip().endswith("acceptance rates: " + ", ".join(rates))
+        _, diag = mcmc_sample(cfg, steps=50, burn_in=30, seed=3, chains=3)
+        assert rows == [f"{c}," + ",".join(f"{v:.17g}" for v in np.sort(x))
+                        for c, x in enumerate(diag.final)]
+        single, _ = mcmc_sample(cfg, steps=50, burn_in=30, seed=3)
+        assert rows[0] == "0," + ",".join(f"{v:.17g}" for v in single.points)
+        rates = ", ".join(f"{a:.3f}" for a in diag.chain_acceptance)
+        assert msg.rstrip().endswith("acceptance rates: " + rates)
 
     def test_growth_failure_exit_1(self, tmp_path, capsys):
         code, _, err = run(capsys, "sample-gas", "--n", "4", "--g", "exp",
@@ -282,6 +294,15 @@ class TestEquilibriumCommand:
         payload = json.loads(out.read_text())
         assert payload["converged"] is True
         assert payload["kkt_residual"] <= payload["run_config"]["params"]["tol"]
+
+    @pytest.mark.filterwarnings("error")        # a numpy warning fails the test
+    def test_domain_floor_below_underflow(self, tmp_path, capsys):
+        # products of two cell widths near 1e-300 are below the smallest double
+        out = tmp_path / "report.json"
+        code, msg, err = run(capsys, "equilibrium", "--grid", "400",
+                             "--domain", "1e-300,4", "--out", str(out))
+        assert code == 0 and err == "" and "converged True" in msg
+        assert json.loads(out.read_text())["converged"] is True
 
     def test_run_config_records_outputs(self, tmp_path, capsys):
         out, plot = tmp_path / "report.json", tmp_path / "P.svg"

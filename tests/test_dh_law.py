@@ -54,7 +54,7 @@ def quad_cdf(x):
 
 @pytest.fixture(scope="module")
 def law():
-    return dh_law.default_law()
+    return dh_law.DHLaw()
 
 
 class TestDensity:
@@ -188,7 +188,7 @@ class TestMoments:
         fresh = dh_law.DHLaw()
         fresh.cdf(1.0), fresh.quantile(0.5)
         assert "_moment_rule" not in vars(fresh)
-        assert fresh.moment_numeric(3) == dh_law.default_law().moment_numeric(3)
+        assert fresh.moment_numeric(3) == dh_law.DHLaw().moment_numeric(3)
         assert "_moment_rule" in vars(fresh)
 
 

@@ -140,7 +140,7 @@ class TestLargestParticle:
 
 
 def test_weak_convergence_to_dh():
-    law = dh_law.default_law()
+    law = dh_law.DHLaw()
     target = EmpiricalMeasure(law.quantile((np.arange(2000) + 0.5) / 2000))
     medians = []
     for n in (64, 128, 256, 512):

@@ -217,7 +217,7 @@ class TestMinimize:
         assert w1_distance(r1.minimizer, r2.minimizer) <= 1e-3
 
     def test_dh_minimizer_near_law(self, dh_report):
-        law = dh_law.default_law()
+        law = dh_law.DHLaw()
         target = EmpiricalMeasure(law.quantile((np.arange(1500) + 0.5) / 1500))
         assert w1_distance(dh_report.minimizer, target) <= 0.03
         assert abs(dh_report.b_eq - np.e) <= 0.06

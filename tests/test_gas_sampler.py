@@ -160,21 +160,30 @@ class TestMcmc:
 
     @pytest.mark.parametrize("g", ["log", "identity", "power", "asinh2", "exp"])
     def test_batch_invariance(self, g):
+        # chain c is the same in every run of more than c chains at a seed,
+        # and chain 0 is the single-chain run
         cfg = self._gas(7, "power:2" if g == "power" else g)
         meas, diag = mcmc_sample(cfg, steps=50, burn_in=30, seed=11, record_every=4,
                                  chains=3)
         assert diag.final.shape == (3, 7) and diag.trace.shape == (3, 13, 7)
-        singles = [mcmc_sample(cfg, steps=50, burn_in=30, seed=11 + c, record_every=4)
-                   for c in range(3)]
-        for c, (m1, d1) in enumerate(singles):
-            assert np.array_equal(np.sort(diag.final[c]), m1.points)
-            assert np.array_equal(diag.final[c], d1.final[0])
-            assert diag.chain_acceptance[c] == d1.acceptance_rate
-            assert np.array_equal(diag.step_sizes[c], d1.step_sizes[0])
-            assert np.array_equal(diag.trace[c], d1.trace[0])
-        assert np.array_equal(meas.points, np.sort(np.concatenate([m.points for m, _ in singles])))
+        _, wide = mcmc_sample(cfg, steps=50, burn_in=30, seed=11, record_every=4,
+                              chains=5)
+        for name in ("final", "trace", "step_sizes", "chain_acceptance"):
+            assert np.array_equal(getattr(diag, name), getattr(wide, name)[:3])
+        single, first = mcmc_sample(cfg, steps=50, burn_in=30, seed=11, record_every=4)
+        assert np.array_equal(np.sort(diag.final[0]), single.points)
+        for name in ("final", "trace", "step_sizes"):
+            assert np.array_equal(getattr(diag, name)[0], getattr(first, name)[0])
+        assert diag.chain_acceptance[0] == first.acceptance_rate
+        assert np.array_equal(meas.points, np.sort(diag.final, axis=None))
         assert diag.acceptance_rate == pytest.approx(np.mean(diag.chain_acceptance), abs=1e-15)
         assert isinstance(diag.acceptance_rate, float)
+
+    def test_neighbouring_seeds_share_no_chain(self):
+        cfg = self._gas(7, "log")
+        _, d11 = mcmc_sample(cfg, steps=50, burn_in=30, seed=11, chains=3)
+        _, d12 = mcmc_sample(cfg, steps=50, burn_in=30, seed=12, chains=3)
+        assert not any(np.array_equal(a, b) for a in d11.final for b in d12.final)
 
     def test_coincidence_rejection(self, monkeypatch):
         # with every gap "within tolerance" of another coordinate, each

@@ -278,10 +278,29 @@ def _log_antiderivs(u):
     return u * log - u, u * u * (2 * log - 3) / 4
 
 
+def _assert_cell_pairs_match_decimal(nodes, pairs):
+    """energy_kernel at the cell pairs (i, j) against the second difference
+    of F over the Voronoi cells, at 700 digits: at 50 the reference itself
+    cancels once cells are as narrow as 1e-200."""
+    kern = mm.energy_kernel(nodes)
+    with localcontext() as ctx:
+        ctx.prec = 700
+        # Voronoi cells: midpoints, half cells ending on the end nodes
+        e = [Decimal(float(v)) for v in
+             np.concatenate([nodes[:1], 0.5 * (nodes[1:] + nodes[:-1]), nodes[-1:]])]
+        for i, j in pairs:
+            p, q = e[i + 1] - e[i], e[j + 1] - e[j]
+            f = [_log_antiderivs(e[j + b] - e[i + a])[1]
+                 for a in (0, 1) for b in (0, 1)]
+            exact = float((f[0] - f[1] - f[2] + f[3]) / (p * q))
+            assert abs(kern[i, j] - exact) <= 1e-12 * max(1.0, abs(exact))
+
+
 class TestCellKernel:
-    """log_kernel_means against the same cell integrals at 50 digits
-    (stdlib decimal) on criterion 9's deep grid, [1e-8, 4] with 600 nodes,
-    geometric below 0.1 for half of them.  The plain four-term difference
+    """log_kernel_means against the same cell integrals in stdlib decimal
+    on criterion 9's deep grid, [1e-8, 4] with 600 nodes, geometric below
+    0.1 for half of them, and on grids whose floors put products of two
+    cell widths below the smallest double.  The plain four-term difference
     of F in floats is off by 4.6e-4 relative at the first x last pair."""
 
     @pytest.fixture(scope="class")
@@ -293,20 +312,19 @@ class TestCellKernel:
         # Voronoi cells: midpoints, half cells ending on the end nodes
         return np.concatenate([nodes[:1], 0.5 * (nodes[1:] + nodes[:-1]), nodes[-1:]])
 
-    def test_cell_pairs_match_decimal(self, nodes, edges):
-        kern = mm.energy_kernel(nodes)
+    def test_cell_pairs_match_decimal(self, nodes):
         m = nodes.size
         pairs = [(0, m - 1), (m - 1, 0), (0, 1), (299, 300), (m - 2, m - 1)]
         pairs += [(i, i) for i in (0, 299, m - 1)] + [(5, 400), (100, 310)]
-        with localcontext() as ctx:
-            ctx.prec = 50
-            e = [Decimal(float(v)) for v in edges]
-            for i, j in pairs:
-                p, q = e[i + 1] - e[i], e[j + 1] - e[j]
-                f = [_log_antiderivs(e[j + b] - e[i + a])[1]
-                     for a in (0, 1) for b in (0, 1)]
-                exact = float((f[0] - f[1] - f[2] + f[3]) / (p * q))
-                assert abs(kern[i, j] - exact) <= 1e-12 * max(1.0, abs(exact))
+        _assert_cell_pairs_match_decimal(nodes, pairs)
+
+    @pytest.mark.parametrize("floor", [1e-200, 1e-300])
+    def test_cell_pairs_below_underflow_match_decimal(self, floor):
+        # 280 geometric nodes from the floor to 0.1, 120 uniform to 4
+        nodes = equilibrium.make_grid(400, floor, 4.0, geo_fraction=0.7)
+        pairs = [(0, 399), (399, 0), (0, 1), (1, 2), (279, 280), (398, 399)]
+        pairs += [(i, i) for i in (0, 279, 399)] + [(5, 300), (100, 285), (3, 140)]
+        _assert_cell_pairs_match_decimal(nodes, pairs)
 
     def test_points_match_decimal(self, nodes, edges):
         # nodes inside their cells, cell edges, points between and beyond

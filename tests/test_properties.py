@@ -22,7 +22,7 @@ SHORT_SPAN = st.lists(st.floats(min_value=0.0, max_value=2.0), min_size=1, max_s
 
 @pytest.fixture(scope="module")
 def law():
-    return dh_law.default_law()
+    return dh_law.DHLaw()
 
 
 @settings(deadline=None)
