@@ -158,8 +158,8 @@ def _cmd_dh(args):
         print(f"{s.real:.17g},{s.imag:.17g}")
     elif args.op == "rtransform":
         re_, im_ = _parse_pair(args.z)
-        r = dh_law.dh_r_transform(complex(re_, im_))
-        r = complex(r)
+        # a zero imaginary part asks for the real value on the real axis
+        r = complex(dh_law.dh_r_transform(complex(re_, im_) if im_ else re_))
         print(f"{r.real:.17g},{r.imag:.17g}")
     return 0
 

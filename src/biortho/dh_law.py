@@ -41,8 +41,6 @@ import numpy as np
 
 from . import special
 
-SUPPORT = (0.0, float(np.e))
-
 _LOG_TINY = math.log(5e-324)  # quantiles below p ~ 1.3e-3 saturate here
 _QUANTILE_MAX_ITER = 100      # 1.4e5 levels over (5e-324, 1 - 1e-16) needed <= 5
 _MOMENT_NODES = 100           # moments k <= 12 to 6e-16 relative
@@ -126,9 +124,11 @@ def dh_r_transform(z):
 
     The z -> 0 limit is the first moment 1/2; a short series replaces the
     formula for |z| < 1e-3 where direct evaluation cancels catastrophically.
-    Real arguments give real values.
+    A real-typed argument gives real values and a complex-typed one complex
+    values, whatever its imaginary part.
     """
-    arr = np.asarray(z, dtype=complex)
+    arr = np.asarray(z)
+    real_in = np.isrealobj(arr)
     scalar = arr.ndim == 0
     zc = np.atleast_1d(arr).astype(complex)
     if not np.all(np.isfinite(zc)):
@@ -150,7 +150,6 @@ def dh_r_transform(z):
     if rest.any():
         zr = zc[rest]
         out[rest] = -1.0 / ((1.0 - zr) * np.log(1.0 - zr)) - 1.0 / zr
-    real_in = np.isrealobj(np.asarray(z)) or np.all(np.atleast_1d(np.asarray(z)).imag == 0)
     if scalar:
         val = complex(out[0])
         return val.real if real_in else val

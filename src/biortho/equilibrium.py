@@ -91,18 +91,19 @@ _FULL_EXCHANGES = 3
 
 
 def make_grid(n, lo, hi, geo_fraction=0.25):
-    """Solver grid: geo_fraction of the nodes spaced geometrically from lo up
-    to 0.1 (resolving the 1/(x log^2 x)-type blow-up near 0), uniform
-    spacing beyond."""
+    """Solver grid of n strictly increasing nodes from lo to hi:
+    geo_fraction of them (at most n - 2) spaced geometrically from lo up to
+    min(0.1, hi/2), resolving the 1/(x log^2 x)-type blow-up near 0, and
+    uniform spacing beyond.  Without room for both parts it is uniform."""
     if not 0 < lo < hi < np.inf:
         raise ValueError("need finite 0 < lo < hi")
     n = int(n)
     if n < 2:
         raise ValueError("need at least two nodes")
-    if lo >= _GEO_UNTIL or geo_fraction <= 0:
-        return np.linspace(lo, hi, n)
     split = min(_GEO_UNTIL, hi / 2)
-    n_geo = max(2, int(n * geo_fraction))
+    if lo >= split or geo_fraction <= 0 or n < 3:
+        return np.linspace(lo, hi, n)
+    n_geo = min(max(2, int(n * geo_fraction)), n - 2)
     geo = np.geomspace(lo, split, n_geo, endpoint=False)
     uni = np.linspace(split, hi, n - n_geo)
     return np.concatenate([geo, uni])

@@ -7,21 +7,22 @@ here: the real branch for monotone calculus, the complex branch for
 Stieltjes-transform work, and the boundary values on the cut for spectral
 densities.
 
-Off the cut, root refinement is Halley's method (cubic convergence) with
-regime-dependent starting points, after Corless, Gonnet, Hare, Jeffrey and
-Knuth, "On the Lambert W function", Adv. Comput. Math. 5 (1996):
+Off the cut, root refinement is Halley's method (cubic convergence) on the
+residual w - z*exp(-w), which is w*exp(w) - z divided by exp(w) and so
+overflows for no finite z, after Corless, Gonnet, Hare, Jeffrey and Knuth,
+"On the Lambert W function", Adv. Comput. Math. 5 (1996).  It starts from
 the square-root expansion sqrt(2e(z + 1/e)) - 1 within 1.5 of the branch
-point -1/e, log(z) - log(log(z)) beyond it, and for |z| >= 1e290 Newton on
-w + log(w) = log(z).  Below |z| = 2^-20 the value is the Taylor polynomial
-z - z^2 + 3z^3/2, with no refinement.  The real branch is the real part of
-this complex solve.  An upper-half-plane result outside the strip
-0 < Im w < pi raises instead of being repaired.  On the cut the value
-comes from one bracketed Halley solve in delta = pi - v on the boundary
-parametrization w = -v*cot(v) + i*v, v in (0, pi), so Im(w) in (0, pi)
-holds by construction; written in cot(delta), a step takes one tan and no
-sin or cos (compare Fukushima, J. Comput. Appl. Math. 244 (2013), on
-evaluating W with few transcendental calls).  Every solve steps its whole batch and
-freezes each point at its own stop, so values do not depend on the batch.
+point -1/e and from log(z) - log(log(z)) beyond it.  Below |z| = 2^-20 the
+value is the Taylor polynomial z - z^2 + 3z^3/2, with no refinement.  The
+real branch is the real part of this complex solve.  An upper-half-plane
+result outside the strip 0 < Im w < pi raises instead of being repaired.
+On the cut the value comes from one bracketed Halley solve in
+delta = pi - v on the boundary parametrization w = -v*cot(v) + i*v,
+v in (0, pi), so Im(w) in (0, pi) holds by construction; written in
+cot(delta), a step takes one tan and no sin or cos (compare Fukushima,
+J. Comput. Appl. Math. 244 (2013), on evaluating W with few transcendental
+calls).  Every solve steps its whole batch and freezes each point at its
+own stop, so values do not depend on the batch.
 
 All entry points accept scalars or numpy arrays, are pure, and raise
 ValueError outside their domain, nan included.  numpy's SIMD tan, log and
@@ -35,7 +36,6 @@ BRANCH_POINT = -float(np.exp(-1.0))
 _BRANCH_SLACK = 1e-15          # tolerated undershoot below -1/e on the real axis
 _MAX_ITER = 100
 _STEP_TOL = 1e-15              # |dw| <= tol*(1+|w|) declares convergence
-_HUGE = 1e290                  # above this |z|, w*exp(w) can overflow; use log form
 _SMALL = 2.0 ** -20            # below this |z|, W0 is its cubic Taylor polynomial
 _CUT_MAX_ITER = 50             # a dense sweep of tau over (-1, 1e12] needs at most 4
 _EPS = np.finfo(float).eps
@@ -50,20 +50,19 @@ class LambertWError(RuntimeError):
 def _halley(w0, z):
     """Refine w0 toward w*exp(w) = z elementwise; raises on non-convergence.
 
-    The steps are undamped, so the root reached is the one the starting
-    point leads to; callers check the branch.
+    The residual is f = w - z*exp(-w), so the step is Halley's
+    f / ((w+1) - (w+2)*f/(2(w+1))).  The steps are undamped, so the root
+    reached is the one the starting point leads to; callers check the branch.
     """
     w = np.array(w0, dtype=complex)
     z = np.asarray(z, dtype=complex)
     done = np.zeros(w.shape, dtype=bool)
-    floor = 8.0 * _EPS * np.abs(z)              # rounding level of f
     last = np.full(w.shape, np.inf)
     for _ in range(_MAX_ITER):
-        ew = np.exp(w)
-        f = w * ew - z
+        f = w - z * np.exp(-w)
         wp1 = w + 1.0
         wp1 = np.where(np.abs(wp1) < 1e-12, 1e-12 + 0j, wp1)
-        dw = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
+        dw = f / (wp1 - (w + 2.0) * f / (2.0 * wp1))
         dw = np.where(done, 0.0, dw)
         w = w - dw
         step = np.abs(dw)
@@ -71,25 +70,11 @@ def _halley(w0, z):
         # near the branch point 1 + w is small and rounding in f keeps the
         # step above the tolerance, cycling; a step no shorter than the last
         # with f at its rounding level ends there
-        done |= (step >= last) & (np.abs(f) <= floor)
+        done |= (step >= last) & (np.abs(f) <= 8.0 * _EPS * (1.0 + np.abs(w)))
         if done.all():
             return w
         last = step
     raise LambertWError("Halley iteration for Lambert W did not converge")
-
-
-def _asymptotic_newton(z):
-    """Solve w + log(w) = log(z); overflow-safe for very large |z|."""
-    l1 = np.log(np.asarray(z, dtype=complex))
-    w = l1 - np.log(l1)
-    done = np.zeros(w.shape, dtype=bool)
-    for _ in range(_MAX_ITER):
-        dw = (l1 - w - np.log(w)) * w / (w + 1.0)
-        w = np.where(done, w, w + dw)
-        done |= np.abs(dw) <= _STEP_TOL * (1.0 + np.abs(w))
-        if done.all():
-            return w
-    raise LambertWError("asymptotic Newton iteration did not converge")
 
 
 def lambert_w0_real(x):
@@ -139,8 +124,9 @@ def lambert_w0_complex(z):
 
 def _w0_off_cut(zc):
     """W0 at a 1-d complex array of finite z off the open cut: the cubic
-    series below _SMALL, else a Halley solve from the regime's starting
-    point; the branch is not checked."""
+    series below _SMALL, else one Halley solve from the square-root start
+    near the branch point or the log start beyond it; the branch is not
+    checked."""
     w = np.empty_like(zc)
     # the series z - z^2 + 3z^3/2 is exact to (8/3)|z|^3 relative; Halley's
     # absolute stop test would end there on a relatively inaccurate w
@@ -149,16 +135,12 @@ def _w0_off_cut(zc):
     w[small] = zs * (1.0 - zs * (1.0 - 1.5 * zs))
     near = ~small & (np.abs(zc - BRANCH_POINT) <= 1.5)
     w[near] = np.sqrt(2.0 * np.e * (zc[near] - BRANCH_POINT)) - 1.0
-    huge = np.abs(zc) >= _HUGE
-    far = ~small & ~near & ~huge
+    far = ~small & ~near
     if far.any():
         l1 = np.log(zc[far])
         w[far] = l1 - np.log(l1)
-    if huge.any():
-        w[huge] = _asymptotic_newton(zc[huge])
-    refine = ~small & ~huge
-    if refine.any():
-        w[refine] = _halley(w[refine], zc[refine])
+    rest = ~small
+    w[rest] = _halley(w[rest], zc[rest])
     return w
 
 

@@ -304,6 +304,15 @@ class TestEquilibriumCommand:
         assert code == 0 and err == "" and "converged True" in msg
         assert json.loads(out.read_text())["converged"] is True
 
+    @pytest.mark.parametrize("argv,lo,hi", [(("--grid", "3"), 1e-4, 4.0),
+                                            (("--domain", "0.05,0.08"), 0.05, 0.08)])
+    def test_small_or_narrow_grid_solves_on_its_domain(self, tmp_path, capsys, argv, lo, hi):
+        out = tmp_path / "report.json"
+        code, _, _ = run(capsys, "equilibrium", *argv, "--out", str(out))
+        assert code == 0
+        nodes = json.loads(out.read_text())["nodes"]
+        assert (nodes[0], nodes[-1]) == (lo, hi)
+
     def test_run_config_records_outputs(self, tmp_path, capsys):
         out, plot = tmp_path / "report.json", tmp_path / "P.svg"
         code, _, _ = run(capsys, "equilibrium", "--grid", "60", "--domain", "1e-3,4",

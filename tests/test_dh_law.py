@@ -259,6 +259,14 @@ class TestRTransform:
             val = dh_law.dh_r_transform(z)
             assert isinstance(val, float)
 
+    def test_complex_in_complex_out(self):
+        # the input's dtype alone sets the return type, zero imaginary part or not
+        assert isinstance(dh_law.dh_r_transform(0.5 + 0j), complex)
+        assert dh_law.dh_r_transform(0.5 + 0j).real == dh_law.dh_r_transform(0.5)
+        batch = dh_law.dh_r_transform(np.array([0.1, 0.5]) + 0j)
+        assert batch.dtype == complex
+        assert np.array_equal(batch.real, dh_law.dh_r_transform(np.array([0.1, 0.5])))
+
     def test_series_formula_crossover(self):
         # the series region must agree with direct evaluation where both work
         for z in (9e-4, 2e-3, 9e-4 * 1j):

@@ -403,6 +403,17 @@ def test_make_grid_rejects_bad_domain(lo, hi):
         eq.make_grid(50, lo, hi)
 
 
+@pytest.mark.parametrize("n,lo,hi,geo_fraction", [
+    (2, 1e-4, 4.0, 0.25), (3, 1e-4, 4.0, 0.25), (4, 1e-4, 4.0, 0.25),
+    (100, 1e-4, 4.0, 1.0), (100, 1e-4, 4.0, 0.995), (100, 1e-4, 4.0, 0.0),
+    (400, 0.05, 0.08, 0.25), (5, 0.05, 0.08, 1.0), (50, 0.5, 2.0, 0.25),
+    (400, 1e-4, 4.0, 0.25), (600, 1e-8, 4.0, 0.5), (400, 1e-300, 4.0, 0.7)])
+def test_make_grid_runs_from_lo_to_hi(n, lo, hi, geo_fraction):
+    g = eq.make_grid(n, lo, hi, geo_fraction=geo_fraction)
+    assert g.size == n and g[0] == lo and g[-1] == hi
+    assert np.all(np.diff(g) > 0)
+
+
 def test_make_grid_shape():
     g = eq.make_grid(100, 1e-4, 4.0)
     assert g.size == 100

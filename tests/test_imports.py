@@ -1,6 +1,6 @@
-"""No unused top-level imports, and no public name or private top-level
-function that only its own definition or the tests use, in the package (no
-lint tool is installed)."""
+"""No unused top-level imports, and no public name, private top-level
+function or module-level assignment that only its own definition or the
+tests use, in the package (no lint tool is installed)."""
 
 import ast
 from pathlib import Path
@@ -80,6 +80,16 @@ def private_functions(source):
             and not node.name.startswith("__")]
 
 
+def module_assignments(source):
+    """Names bound by top-level assignments, dunders excepted, in source
+    order."""
+    return [target.id for node in ast.parse(source).body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in ast.walk(node)
+            if isinstance(target, ast.Name) and isinstance(target.ctx, ast.Store)
+            and not (target.id.startswith("__") and target.id.endswith("__"))]
+
+
 def used_names(source):
     """(top, any): names used anywhere in the source, except inside the
     definition that binds the same name.  `top` holds what can reach a
@@ -145,6 +155,11 @@ def test_uncalled_checker():
                "    return other.via_local_import()\nrun()\n")
     assert uncalled([lib, caller], public_definitions) == ["orphan", "Box.get", "shadowed"]
     assert uncalled([lib, caller], private_functions) == ["_private"]
+    consts = ("__all__ = ['read']\nread, _kept = 1, 2\nunread: int = 3\n"
+              "_orphan = 4\n_LIMIT = 5\ndef f():\n    return _kept + _LIMIT\n")
+    assert module_assignments(consts) == ["read", "_kept", "unread", "_orphan", "_LIMIT"]
+    assert uncalled([consts, "from .consts import read\n"],
+                    module_assignments) == ["unread", "_orphan"]
 
 
 @pytest.fixture(scope="module")
@@ -160,3 +175,7 @@ def test_no_public_name_only_tests_call(sources):
 
 def test_no_private_function_only_tests_call(sources):
     assert uncalled(sources, private_functions) == []
+
+
+def test_no_module_constant_only_tests_read(sources):
+    assert uncalled(sources, module_assignments) == []
