@@ -23,16 +23,27 @@ matrix trials, and the arithmetic is the single-chain arithmetic in the
 same order.  So chain c is bit for bit the same in every run of more than
 c chains at that seed, and chain 0 is the single-chain run.
 
-Each sweep forms all proposals up front and copies, per coordinate i, the
-proposal and the current value of x_i and g(x_i) into `centres`, shaped
-(coordinate, [x, g], [new, old], chain).  The current value is exact for
-the whole sweep: only coordinate i's own update changes it.  Step i is then
-one subtraction of the state from `centres[i]` into `gaps`, shaped
-([x, g], [new, old], chain, coordinate), whose flat channels are new x,
-old x, new g, old g; one abs, one log and one row sum over the contiguous
-last axis follow.  The views each step uses are built once per call.
+Each sweep forms all proposals up front and then walks the coordinates in
+blocks of at most _BLOCK rows, fewer where a block's table would pass
+_TABLE entries.  `coords`, shaped ([x, g, log x, V], [proposal, state],
+chain, slot), holds proposals and state; after the n coordinate slots, the
+x and g state rows carry the current block's proposals.  At block start one
+broadcast subtraction of those rows from the block's centres fills the
+block's table, shaped ([x, g], [new, old], chain, row, column): row i holds
+the gaps from x_i's proposal (new) and from x_i (old) to every coordinate,
+then to the block's own proposals.  abs and log follow; the own column
+reads log 1 = 0, a new x gap within _COINCIDENCE_TOL reads log 0 = -inf,
+and the old channels are negated.  A step is then one row sum over the
+contiguous last axis (the same n values, in the same order, as one gap row
+per step would give), one left-to-right sum of [pre, s_nx, -s_ox, s_ng,
+-s_og], one compare, and, where chains accept, one masked copy of the
+proposal's column into the block's rows below.  The state is written once
+per block.  The identity map's g channels would repeat its x channels bit
+for bit, so its coords and tables hold no g channel.  Extra memory is
+O(chains * _BLOCK * n).
 """
 
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -59,6 +70,11 @@ _G_KINDS = {
 _COINCIDENCE_TOL = 1e-14
 _GROWTH_CHECKPOINTS = (1e2, 1e4, 1e6, 1e8)
 _TARGET_ACCEPT = 0.35        # burn-in adapts step sizes toward this rate
+# blocks (module docstring): 16 rows, or fewer where a table would pass
+# 2^16 entries (512 KB), which then falls out of cache: at n = 1000 with 20
+# chains, 16-row tables ran 1.2x slower than 1-row ones
+_BLOCK = 16
+_TABLE = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -118,14 +134,16 @@ class Potential:
             raise ValueError("polynomial potential needs a positive leading "
                              "coefficient")
 
-    def __call__(self, x):
+    def __call__(self, x, out=None):
         """Horner's rule in polyval's operation order, so bit-identical to
         np.polynomial.polynomial.polyval for finite x (and inf, not nan, at
-        x = inf)."""
+        x = inf); an `out` array takes the values, as for a ufunc."""
         x = np.asarray(x, dtype=float)
-        val = self.coeffs[-1] * x + self.coeffs[-2]
+        val = np.multiply(self.coeffs[-1], x, out=out)
+        val += self.coeffs[-2]
         for c in reversed(self.coeffs[:-2]):
-            val = val * x + c
+            val *= x
+            val += c
         return val
 
     @classmethod
@@ -205,8 +223,8 @@ def mcmc_sample(cfg, steps, burn_in, seed, record_every=0, chains=1):
     Gaussian steps on log coordinates; the acceptance ratio carries the
     Jacobian term, so the chain targets the gas density itself.  Proposals
     landing within 1e-14 of another coordinate are rejected outright.
-    record_every > 0 stores every so-many post-burn-in sweeps in the
-    diagnostics trace, (chains, records, n).  Chain c draws from
+    record_every > 0 (an integer) stores every so-many post-burn-in sweeps
+    in the diagnostics trace, (chains, records, n).  Chain c draws from
     ensemble.rng_stream(seed, c): it is bit for bit the same in every run
     of more than c chains at that seed, and chain 0 is the single-chain
     run.  Every chain starts from the evenly spaced configuration
@@ -216,37 +234,60 @@ def mcmc_sample(cfg, steps, burn_in, seed, record_every=0, chains=1):
         raise ValueError("steps and burn_in must be positive")
     if chains < 1:
         raise ValueError("chains must be positive")
+    if not isinstance(record_every, numbers.Integral) or record_every < 0:
+        raise ValueError(f"record_every must be a non-negative integer, "
+                         f"not {record_every!r}")
     worst = check_growth(cfg)
     if not worst > 1.0:
         raise ValueError(
             f"growth check failed (worst ratio {worst:.4g} <= 1); "
             "the rate functional would not confine this gas")
     t0 = time.perf_counter()
-    n, k = cfg.n, chains
+    n, k, tol = cfg.n, chains, _COINCIDENCE_TOL
+    # g(x) = x + 0.0 is x bit for bit on (0, inf): no g channel for it
+    maps = 1 if cfg.g.kind == "identity" else 2
+    rows = max(1, min(_BLOCK, n, _TABLE // (2 * maps * k * n)))
     rngs = [rng_stream(seed, c) for c in range(k)]
     x0 = 2.0 * (np.arange(n) + 0.5) / n
-    # state and proposals are ([x, g(x), log x, V(x)], chain, coordinate);
-    # each channel is one contiguous (chains, n) block
-    state = np.empty((4, k, n))
-    for ch, v in enumerate((x0, cfg.g(x0), np.log(x0), cfg.v(x0))):
+    # coords and the tables are laid out as in the module docstring
+    coords = np.empty((maps + 2, 2, k, n + rows))
+    prop, state = coords[:, 0, :, :n], coords[:, 1, :, :n]
+    for ch, v in enumerate((x0, cfg.g(x0))[:maps] + (np.log(x0), cfg.v(x0))):
         state[ch] = v
-    prop = np.empty_like(state)
-    xp, gp, yp, vp = prop
-    # centres and gaps as in the module docstring
-    centres = np.empty((n, 2, 2, k))
-    by_channel = centres.transpose(2, 1, 3, 0)
-    gaps = np.empty((2, 2, k, n))
-    new_x_gaps, current, rows = gaps[0, 0], state[:2, None], gaps.reshape(4, k, n)
-    normals, uniforms, log_us, pre = (np.empty((k, n)) for _ in range(4))
+    xp, yp, vp = prop[0], prop[-2], prop[-1]
+    table = np.empty((maps, 2, k, rows, n + rows))
+    near = np.empty((k, rows, n + rows), dtype=bool)
+    terms = np.empty((n, 5, k))          # [pre_i, s_nx, -s_ox, s_ng, -s_og]
+    pre = terms[:, 0].T
+    diff = np.empty((2, k, n))
+    coef = np.array([cfg.b, -n], dtype=float)[:, None, None]
+    normals, uniforms, log_us, inside = (np.empty((k, n)) for _ in range(4))
     sig = np.full((k, n), 0.5)
     log_sig = np.log(sig)
     accepted = np.zeros((k, n), dtype=bool)
     accepted_post = np.zeros((k, n), dtype=np.int64)
-    close = np.empty((k, n), dtype=bool)
-    sums, delta = np.empty((4, k)), np.empty(k)
-    s_nx, s_ox, s_ng, s_og = sums
-    coords = [(centres[i, ..., None], gaps[..., i], pre[:, i], log_us[:, i],
-               accepted[:, i], state[:, :, i], prop[:, :, i]) for i in range(n)]
+    delta = np.empty(k)
+    blocks = []
+    for i0 in range(0, n, rows):
+        b = min(rows, n - i0)
+        tab = table[..., :b, :n + b]
+        own = np.lib.stride_tricks.as_strided(       # tab[..., r, i0 + r]
+            tab[..., i0:], tab.shape[:-1], tab.strides[:-2] + (sum(tab.strides[-2:]),))
+        steps_in = []
+        for r in range(b):
+            i, acc = i0 + r, accepted[:, i0 + r]
+            # rows below r take column n + r (proposal r) in place of column
+            # i0 + r in the chains that accept proposal r
+            below = (table[..., r + 1:b, i0 + r], table[..., r + 1:b, n + r],
+                     acc[:, None]) if r + 1 < b else None
+            steps_in.append((np.broadcast_to(table[:, :, :, r, :n], (2, 2, k, n)), terms[i],
+                             terms[i, 1:].reshape(2, 2, k), log_us[:, i], acc, below))
+        blocks.append((coords[:maps, 1, :, n:n + b], coords[:maps, 0, :, i0:i0 + b],
+                       coords[:maps, :, :, i0:i0 + b, None],
+                       coords[:maps, 1, None, :, None, :n + b],
+                       tab, own, tab[0, 0], near[:, :b, :n + b], tab[:, 1],
+                       coords[:, 1, :, i0:i0 + b], coords[:, 0, :, i0:i0 + b],
+                       accepted[None, :, i0:i0 + b], steps_in))
     trace = np.empty((k, len(range(0, steps, record_every)) if record_every else 0, n))
 
     with np.errstate(all="ignore"):
@@ -257,33 +298,41 @@ def mcmc_sample(cfg, steps, burn_in, seed, record_every=0, chains=1):
             np.log(uniforms, out=log_us)
             # coordinate i's proposal depends only on its own log x_i and
             # step size, which no earlier update in the sweep touches
-            np.add(state[2], sig * normals, out=yp)
+            np.multiply(sig, normals, out=yp)
+            np.add(state[-2], yp, out=yp)
             np.exp(yp, out=xp)
-            gp[:] = cfg.g(xp)
-            vp[:] = cfg.v(xp)
-            pre[:] = -n * (vp - state[3]) + cfg.b * (yp - state[2])
-            # a delta of -inf or nan rejects: proposals that left (0, inf)
-            # get it here, those within 1e-14 of another coordinate below
-            pre[~(np.isfinite(xp) & (xp > 0.0))] = -np.inf
-            by_channel[0] = prop[:2]
-            by_channel[1] = state[:2]
-            for centre, own_gaps, pre_i, log_u, acc, state_i, prop_i in coords:
-                np.subtract(centre, current, out=gaps)
-                np.abs(gaps, out=gaps)
-                own_gaps.fill(1.0)
-                np.less_equal(new_x_gaps, _COINCIDENCE_TOL, out=close)
-                np.log(gaps, out=gaps)
-                if np.count_nonzero(close):
-                    new_x_gaps[close] = -np.inf
-                np.add.reduce(rows, 2, out=sums)
-                # the single-chain summation order, term by term
-                np.add(pre_i, s_nx, out=delta)
-                np.subtract(delta, s_ox, out=delta)
-                np.add(delta, s_ng, out=delta)
-                np.subtract(delta, s_og, out=delta)
-                np.less(log_u, delta, out=acc)
-                if np.count_nonzero(acc):
-                    np.copyto(state_i, prop_i, where=acc)
+            if maps == 2:
+                prop[1] = cfg.g(xp)
+            cfg.v(xp, out=vp)
+            # pre = -n (V(x') - V(x)) + b (log x' - log x), times x'/x': 1
+            # inside (0, inf) and nan outside, where the nan delta rejects
+            np.subtract(prop[-2:], state[-2:], out=diff)
+            np.multiply(diff, coef, out=diff)
+            np.add(diff[1], diff[0], out=pre)
+            np.divide(xp, xp, out=inside)
+            np.multiply(pre, inside, out=pre)
+            for (slots, block_prop, centres, columns, tab, own, new_x, near_b, old,
+                 state_b, prop_b, acc_b, steps_in) in blocks:
+                np.copyto(slots, block_prop)
+                # two passes: numpy's subtract with a stride-0 operand is slower
+                np.copyto(tab, centres)
+                np.subtract(tab, columns, out=tab)
+                np.abs(tab, out=tab)
+                own.fill(1.0)
+                # log 0 = -inf: a proposal within tol of a coordinate rejects
+                np.less_equal(new_x, tol, out=near_b)
+                if np.count_nonzero(near_b):
+                    np.copyto(new_x, 0.0, where=near_b)
+                np.log(tab, out=tab)
+                np.negative(old, out=old)
+                for row, five, sums, log_u, acc, below in steps_in:
+                    np.add.reduce(row, 3, out=sums)
+                    # left to right: (((pre + s_nx) - s_ox) + s_ng) - s_og
+                    np.add.reduce(five, 0, out=delta)
+                    np.less(log_u, delta, out=acc)
+                    if below and np.count_nonzero(acc):
+                        np.copyto(below[0], below[1], where=below[2])
+                np.copyto(state_b, prop_b, where=acc_b)
             if sweep < burn_in:
                 log_sig += (sweep + 1.0) ** -0.6 * (accepted - _TARGET_ACCEPT)
                 np.exp(log_sig, out=sig)

@@ -1,5 +1,8 @@
 """Gas configuration, growth check, Metropolis sampler."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,11 @@ from biortho import gas_sampler
 from biortho.gas_sampler import (GasConfig, GFunction, Potential, check_growth,
                                  mcmc_sample)
 from biortho.measures import EmpiricalMeasure, w1_distance
+
+# Runs that cross the sampler's block boundaries, as hex floats: g = log,
+# V = x, b = 1, same numpy build and CPU as PARITY_PINS below.  Recorded
+# before the sweep was split into blocks of gas_sampler._BLOCK rows.
+BLOCK_PINS = json.loads(Path(__file__).with_name("gas_block_pins.json").read_text())
 
 
 class TestGFunction:
@@ -56,6 +64,15 @@ class TestPotential:
         for coeffs in ((0.0, 1.0, np.inf), (np.nan, 1.0), (0.0, np.nan, 1.0)):
             with pytest.raises(ValueError, match="finite"):
                 Potential(coeffs)
+
+    def test_out_array_takes_the_values(self):
+        x = np.array([0.0, 0.5, 3.0, np.inf])
+        p = Potential.polynomial([0.5, -1.0, 0.25, 2.0])
+        out = np.empty(4)
+        assert p(x, out=out) is out
+        assert np.array_equal(out, p(x))
+        assert np.array_equal(out[:3], np.polynomial.polynomial.polyval(x[:3], p.coeffs))
+        assert out[3] == np.inf
 
 
 def test_gas_config_rejects_infinite_weight_exponent():
@@ -157,6 +174,48 @@ class TestMcmc:
         assert float(diag.acceptance_rate).hex() == rate
         assert [float(v).hex() for v in diag.step_sizes[0]] == steps
         assert diag.trace.shape == (1, 12, 8)
+
+    @staticmethod
+    def _block_pin_run(pin):
+        cfg = GasConfig(pin["n"], GFunction("log"), Potential.linear(1.0), 1.0)
+        return mcmc_sample(cfg, steps=pin["steps"], burn_in=pin["burn_in"],
+                           seed=pin["seed"], record_every=pin["record_every"],
+                           chains=pin["chains"])[1]
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_PINS))
+    def test_block_pin(self, name, monkeypatch):
+        # n = 37 spans three blocks, the last one ragged; n = 1 is a single
+        # one-row block; tol_1e-2 rejects proposals that come within 0.01 of
+        # a coordinate, some of them one moved earlier in the same block
+        pin = BLOCK_PINS[name]
+        if pin["tol"] is not None:
+            monkeypatch.setattr(gas_sampler, "_COINCIDENCE_TOL", pin["tol"])
+        diag = self._block_pin_run(pin)
+        assert [[float(v).hex() for v in row] for row in diag.final] == pin["final"]
+        assert [[float(v).hex() for v in row] for row in diag.step_sizes] == pin["step_sizes"]
+        assert float(diag.acceptance_rate).hex() == pin["acceptance_rate"]
+
+    def test_block_pin_tolerance_bites(self, monkeypatch):
+        # the middle tolerance rejects some proposals but not all: the run
+        # accepts, and it leaves the run at the default tolerance
+        pin = BLOCK_PINS["tol_1e-2"]
+        default = self._block_pin_run(pin)
+        monkeypatch.setattr(gas_sampler, "_COINCIDENCE_TOL", pin["tol"])
+        diag = self._block_pin_run(pin)
+        assert diag.acceptance_rate > 0.0
+        assert diag.acceptance_rate < default.acceptance_rate
+        assert not np.array_equal(diag.final, default.final)
+
+    @pytest.mark.parametrize("record_every", [-2, -1, 2.5, 2.0, "3", None])
+    def test_record_every_must_be_a_nonnegative_integer(self, record_every):
+        cfg = GasConfig(4, GFunction("log"), Potential.linear(1.0), 1.0)
+        with pytest.raises(ValueError, match="record_every"):
+            mcmc_sample(cfg, steps=10, burn_in=10, seed=0, record_every=record_every)
+
+    def test_record_every_accepts_numpy_integers(self):
+        cfg = GasConfig(4, GFunction("log"), Potential.linear(1.0), 1.0)
+        _, diag = mcmc_sample(cfg, steps=10, burn_in=10, seed=0, record_every=np.int64(5))
+        assert diag.trace.shape == (1, 2, 4)
 
     @pytest.mark.parametrize("g", ["log", "identity", "power", "asinh2", "exp"])
     def test_batch_invariance(self, g):
