@@ -23,10 +23,12 @@ closed form: as delta runs over (0, pi),
     F(x(delta)) = delta/pi + sin(delta)^2 / (pi * (pi - delta)),
 
 with dF/ddelta = ((pi - delta + sin(delta)cos(delta))^2 + sin(delta)^4)
-/ (pi * (pi - delta)^2) > 0.  The CDF takes one cut value per point, the
-quantile is a Newton solve on F(delta) with no Lambert call, and moments
-are one fixed Gauss-Legendre rule in delta with weight dF/ddelta.  The total
-mass is exactly 1.
+/ (pi * (pi - delta)^2) > 0.  The CDF and the density read delta from one
+cut solve per point (special.cut_delta), without forming w.  The quantile
+runs Newton steps on F(delta) = p in special.bracketed_delta, the bracketed
+iteration the cut solve runs, with no Lambert call.  Moments are one fixed
+Gauss-Legendre rule in delta with weight dF/ddelta.  The total mass is
+exactly 1.
 
 The density blows up like 1/(x log^2 x) at 0 (log x ~ -pi/delta; about 26%
 of the mass sits below 0.01) and vanishes like sqrt(e - x) at the right
@@ -65,11 +67,11 @@ def _log_x(d):
 
 
 def _on_cut(x, edge, fn):
-    """fn(W+(-1/x)) on (0, e); 0 at x <= 0, `edge` at x >= e, nan at nan.
+    """fn(delta(x)) on (0, e); 0 at x <= 0, `edge` at x >= e, nan at nan.
 
-    A few ulps below e (tau <= -1 + 1e-15, at the cut solver's branch point)
-    the value is taken as `edge` too: the density there is below 1e-8 and
-    1 - F below 1e-22.
+    delta(x) = pi - Im W+(-1/x).  A few ulps below e (tau <= -1 + 1e-15, at
+    the cut solver's branch point) the value is taken as `edge` too: the
+    density there is below 1e-8 and 1 - F below 1e-22.
     """
     arr = np.asarray(x, dtype=float)
     a = np.atleast_1d(arr).astype(float)
@@ -80,16 +82,18 @@ def _on_cut(x, edge, fn):
         ok = tau > -1.0 + 1e-15
         vals = np.full(tau.shape, float(edge))
         if ok.any():
-            vals[ok] = fn(special.lambert_w0_cut_above_log(tau[ok]))
+            vals[ok] = fn(special.cut_delta(tau[ok]))
         out[inside] = vals
     return float(out[0]) if arr.ndim == 0 else out
 
 
 def dh_density(x):
     """Density of the Dykema-Haagerup law; zero outside (0, e), nan at nan."""
-    def on_cut(w):
+    def on_cut(d):
+        # exp(Re w) sin(Im w) / pi with w = v*cot(delta) + i*v, v = pi - delta
+        v = np.pi - d
         with np.errstate(over="ignore"):   # ~1/(x log^2 x): inf below 1e-305
-            return np.exp(w.real) * np.sin(w.imag) / np.pi
+            return np.exp(v / np.tan(d)) * np.sin(v) / np.pi
     return _on_cut(x, 0.0, on_cut)
 
 
@@ -182,24 +186,20 @@ class DHLaw:
     # -- pointwise ---------------------------------------------------------
 
     def cdf(self, x):
-        """P(X <= x) = F(delta) with delta = pi - Im W+(-1/x), one cut value
+        """P(X <= x) = F(delta) with delta = pi - Im W+(-1/x), one cut solve
         per point; 0 at x <= 0, exactly 1 at x >= e and nan at nan."""
-        return _on_cut(x, 1.0, lambda w: _cdf_delta(np.pi - w.imag))
+        return _on_cut(x, 1.0, _cdf_delta)
 
     def quantile(self, p):
-        """Inverse CDF by bracketed Newton on F(delta) = p over (0, pi).
+        """Inverse CDF by Newton steps on F(delta) = p in the cut solve's
+        iteration, special.bracketed_delta.
 
         Both pi*p and pi - (3*pi*(1 - p))^(1/3) (from 1 - F <= v^3/(3*pi))
         have F >= p, so the smaller one starts the iteration and bounds the
-        root from above; 0 bounds it from below.  Residual signs tighten the
-        bracket, and a step that leaves it falls back to the midpoint.  A
-        level stops when |F - p| <= 4e-16*p, or its step or bracket is below
-        4e-16*delta (or one ulp, for subnormal delta); RuntimeError is raised
+        root from above; 0 bounds it from below.  A level keeps its delta
+        (its step is zero) once |F - p| <= 4e-16*p; RuntimeError is raised
         after _QUANTILE_MAX_ITER steps.  The result is exp(log x(delta)),
         clipped at log(5e-324), so quantiles below p ~ 1.3e-3 saturate there.
-        The whole batch steps together and each level freezes at its own
-        stop, so a batch takes as many steps as its slowest level and results
-        do not depend on the batch.
         Distinct levels come out in order up to the rounding of log x: levels
         a few ulps apart may swap by an ulp or two of log x (5.7e-14 relative
         at worst where log x ~ -166).
@@ -209,25 +209,16 @@ class DHLaw:
         pp = np.atleast_1d(arr).astype(float)
         if not np.all((pp > 0.0) & (pp < 1.0)):
             raise ValueError("quantile requires 0 < p < 1")
-        d = np.minimum(np.pi * pp, np.pi - np.cbrt(3.0 * np.pi * (1.0 - pp)))
-        dlo, dhi = np.zeros_like(pp), d.copy()
-        done = np.zeros(pp.shape, dtype=bool)
-        for _ in range(_QUANTILE_MAX_ITER):
+
+        def newton(d):
             g = _cdf_delta(d) - pp
-            below = g < 0.0
-            dlo = np.where(below, d, dlo)
-            dhi = np.where(below, dhi, d)
-            step = g / _cdf_slope(d)
-            tol = np.maximum(4e-16 * d, np.spacing(d))
-            small = np.abs(step) <= tol
-            nxt = d - step
-            nxt = np.where(small | ((dlo < nxt) & (nxt < dhi)), nxt, 0.5 * (dlo + dhi))
             hit = np.abs(g) <= 4e-16 * pp
-            d = np.where(done | hit, d, nxt)
-            done |= hit | small | (dhi - dlo <= tol)
-            if done.all():
-                break
-        else:
+            step = np.where(hit, 0.0, g / _cdf_slope(d))
+            return g < 0.0, step, hit
+
+        d = np.minimum(np.pi * pp, np.pi - np.cbrt(3.0 * np.pi * (1.0 - pp)))
+        d = special.bracketed_delta(newton, d, 0.0, d, _QUANTILE_MAX_ITER)
+        if d is None:
             raise RuntimeError("DH quantile: Newton iteration did not converge")
         q = np.exp(np.maximum(_log_x(d), _LOG_TINY))
         return float(q[0]) if scalar else q

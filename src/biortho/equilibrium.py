@@ -220,15 +220,15 @@ def _effective_potential(x, mu, cfg):
 
 
 def rate_J_largest(x, mu_eq, cfg):
-    """Largest-particle rate function J(x) = U(x) - U(b_eq) for x >= b_eq
-    and +inf below b_eq; J(b_eq) = 0 exactly by construction."""
+    """Largest-particle rate J(x) = U(x) - U(b_eq) for finite x >= b_eq, +inf
+    below b_eq and at +inf, nan at nan; J(b_eq) = 0 exactly by construction."""
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     xs = np.atleast_1d(arr).astype(float)
     b_eq = _support_endpoint(mu_eq)
     kappa = _effective_potential(np.array([b_eq]), mu_eq, cfg)[0]
-    out = np.full(xs.shape, np.inf)
-    ge = xs >= b_eq
+    out = np.where(np.isnan(xs), np.nan, np.inf)
+    ge = (xs >= b_eq) & (xs < np.inf)
     if ge.any():
         out[ge] = _effective_potential(xs[ge], mu_eq, cfg) - kappa
     return float(out[0]) if scalar else out

@@ -16,13 +16,13 @@ point -1/e and from log(z) - log(log(z)) beyond it.  Below |z| = 2^-20 the
 value is the Taylor polynomial z - z^2 + 3z^3/2, with no refinement.  The
 real branch is the real part of this complex solve.  An upper-half-plane
 result outside the strip 0 < Im w < pi raises instead of being repaired.
-On the cut the value comes from one bracketed Halley solve in
-delta = pi - v on the boundary parametrization w = -v*cot(v) + i*v,
-v in (0, pi), so Im(w) in (0, pi) holds by construction; written in
-cot(delta), a step takes one tan and no sin or cos (compare Fukushima,
-J. Comput. Appl. Math. 244 (2013), on evaluating W with few transcendental
-calls).  Every solve steps its whole batch and freezes each point at its
-own stop, so values do not depend on the batch.
+On the cut the value is built from delta = pi - v on the boundary
+parametrization w = -v*cot(v) + i*v, v in (0, pi), so Im(w) in (0, pi) holds
+by construction.  delta comes from Halley steps in cot(delta), one tan and
+no sin or cos each (compare Fukushima, J. Comput. Appl. Math. 244 (2013), on
+evaluating W with few transcendental calls), in bracketed_delta, the one
+safeguarded iteration in delta, which dh_law's quantile shares.  Each solve
+freezes each point at its own stop, so values do not depend on the batch.
 
 All entry points accept scalars or numpy arrays, are pure, and raise
 ValueError outside their domain, nan included.  numpy's SIMD tan, log and
@@ -161,42 +161,36 @@ def lambert_w0_cut_above(x):
 
 
 def lambert_w0_cut_above_log(tau):
-    """Cut boundary value of W0 at x = -exp(tau), parametrized by tau = log|x|.
+    """Cut boundary value of W0 at x = -exp(tau) for -1 < tau <= 1e12, far
+    beyond float overflow of |x| itself: w = v*cot(delta) + i*v with
+    v = pi - delta, delta = cut_delta(tau)."""
+    d = cut_delta(tau)
+    v = np.pi - d
+    return v / np.tan(d) + 1j * v
 
-    Stable for tau far beyond float overflow of |x| itself (tau up to ~1e12).
-    Requires tau > -1 (i.e. |x| > 1/e).
 
-    On the cut the root is w = -v*cot(v) + i*v for a unique v in (0, pi).
-    In delta = pi - v, which keeps full relative precision at both ends, and
-    q = cot(delta), so that -log(sin delta) = log(c2)/2 with c2 = 1 + q^2,
-    Halley's method solves the decreasing
+def cut_delta(tau):
+    """delta = pi - Im W+(-exp(tau)) in (0, pi) for -1 < tau <= 1e12, to full
+    relative precision at both ends.  With v = pi - delta and
+    q = cot(delta) = 1/tan(delta), so -log(sin delta) = log(c2)/2 with
+    c2 = 1 + q^2, Halley's method solves the decreasing
         h(delta) = log(v) + log(c2)/2 + v*q - tau,
         h' = -1/v - 2q - v*c2,    h'' = c2*(3 + 2v*q) - 1/v^2,
-    stepping delta - 2h*h'/(2h'^2 - h*h''), and returns w = v*q + i*v.  q is
-    1/tan(delta): one tan per step, no sin or cos.  The start is
-    v = sqrt(2(tau + 1)) near the branch point and
-    pi/delta = L - log L + log(L)/L, L = tau + 1, beyond it.  Residual signs
-    tighten the bracket [1e-14, pi - 1e-13]; a step that leaves it falls
-    back to the midpoint.  A point stops when its residual reaches the
-    rounding level of its four terms or its step is below 4e-16*delta, and
-    LambertWError is raised after _CUT_MAX_ITER steps.  The whole batch
-    steps together and each point freezes at its own stop, so a batch takes
-    as many steps as its slowest point and values do not depend on the batch.
+    stepping delta - 2h*h'/(2h'^2 - h*h'') in bracketed_delta over
+    [1e-14, pi - 1e-13], from v = sqrt(2(tau + 1)) near the branch point and
+    pi/delta = L - log L + log(L)/L, L = tau + 1, beyond it.  A point also
+    stops, after its step, once h is at the rounding level of its four
+    terms; LambertWError is raised after _CUT_MAX_ITER steps.
     """
     t = np.atleast_1d(np.asarray(tau, dtype=float))
-    if not np.all(t > -1.0):
-        raise ValueError("lambert_w0_cut_above_log requires tau > -1")
-    if np.any(t > 1e12):
-        raise ValueError("tau out of supported range (> 1e12)")
-    dlo = np.full(t.shape, 1e-14)
-    dhi = np.full(t.shape, np.pi - 1e-13)
+    if not np.all((t > -1.0) & (t <= 1e12)):
+        raise ValueError("the cut solve requires -1 < tau <= 1e12")
     big = np.maximum(t + 1.0, 3.0)
     lg = np.log(big)
     d = np.where(t < 2.0, np.pi - np.sqrt(2.0 * (t + 1.0)),
                  np.pi / (big - lg + lg / big))
-    d = np.clip(d, dlo, dhi)
-    done = np.zeros(t.shape, dtype=bool)
-    for _ in range(_CUT_MAX_ITER):
+
+    def halley(d):
         v = np.pi - d
         q = 1.0 / np.tan(d)
         c2 = 1.0 + q * q
@@ -204,18 +198,32 @@ def lambert_w0_cut_above_log(tau):
         h = a + b + c - t
         h1 = -1.0 / v - 2.0 * q - v * c2
         h2 = c2 * (3.0 + 2.0 * c) - 1.0 / (v * v)
-        right = h > 0.0             # h decreases in delta; root lies at larger delta
-        dlo = np.where(right, d, dlo)
-        dhi = np.where(right, dhi, d)
-        nxt = d - 2.0 * h * h1 / (2.0 * h1 * h1 - h * h2)
-        nxt = np.where((nxt >= dlo) & (nxt <= dhi), nxt, 0.5 * (dlo + dhi))
         noise = 4.0 * _EPS * (np.abs(a) + np.abs(b) + np.abs(c) + np.abs(t))
-        stop = (np.abs(h) <= noise) | (np.abs(nxt - d) <= 4e-16 * d)
+        return h > 0.0, 2.0 * h * h1 / (2.0 * h1 * h1 - h * h2), np.abs(h) <= noise
+
+    d = bracketed_delta(halley, d, 1e-14, np.pi - 1e-13, _CUT_MAX_ITER)
+    if d is None:
+        raise LambertWError("Halley iteration on the cut did not converge")
+    return d
+
+
+def bracketed_delta(step, d, lo, hi, max_iter):
+    """Safeguarded solve in delta from d clipped to [lo, hi]; None when
+    max_iter steps leave a point unstopped.  step(d) gives (up, s, stop):
+    where the root lies above d, the step to d - s and the points that stop
+    after it.  Each step tightens the bracket, an iterate outside it falls
+    back to the midpoint, and a point also stops once it moves <= 4e-16*d."""
+    d = np.clip(d, lo, hi)
+    done = np.zeros(d.shape, dtype=bool)
+    for _ in range(max_iter):
+        up, s, stop = step(d)
+        lo = np.where(up, d, lo)
+        hi = np.where(up, hi, d)
+        nxt = d - s
+        nxt = np.where((nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
+        stop |= np.abs(nxt - d) <= 4e-16 * d
         d = np.where(done, d, nxt)
         done |= stop
         if done.all():
-            break
-    else:
-        raise LambertWError("Halley iteration on the cut did not converge")
-    v = np.pi - d
-    return v / np.tan(d) + 1j * v
+            return d
+    return None

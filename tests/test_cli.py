@@ -362,6 +362,33 @@ class TestQuantileCheckCommand:
         stats = proof_lab.ratio_statistics(grid, GFunction("log"), 0.1)
         assert json.loads(out)["ratios_evaluated"] == stats.evaluated
 
+    def test_dh_trunc_floor_in_the_edge_zone_is_validation_error(self, capsys):
+        code, out, err = run(capsys, "quantile-check", "--dist", "dh-trunc:1e-20")
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.filterwarnings("error")        # a numpy warning fails the test
+@pytest.mark.parametrize("argv", [
+    ("quantile-check", "--dist", "uniform:1000,1001", "--n", "50"),
+    ("quantile-check", "--dist", "dh-trunc:0.1", "--n", "50", "--m", "100"),
+    ("equilibrium", "--grid", "60", "--domain", "1e-3,4", "--tol", "1e-3", "--out"),
+    ("rate-largest", "--grid", "60", "--domain", "1e-3,4", "--points", "5", "--out"),
+], ids=["quantile-check-uniform", "quantile-check-dh-trunc", "equilibrium", "rate-largest"])
+def test_json_output_is_strict(tmp_path, capsys, argv):
+    # json.dumps writes NaN and Infinity, which strict JSON readers refuse
+    out = tmp_path / "out.json"
+    if argv[-1] == "--out":
+        argv += (str(out),)
+    code, stdout, _ = run(capsys, *argv)
+    assert code == 0
+    text = out.read_text() if argv[0] != "quantile-check" else stdout
+    json.loads(text, parse_constant=_reject_constant)
+
 
 class TestSvg:
     def test_single_path_for_curve(self):

@@ -52,6 +52,26 @@ def quad_cdf(x):
     return total
 
 
+# quantile hex values at levels from the subnormal range to 1 - 1e-15; the
+# first two saturate at the smallest double
+QUANTILE_PINS = [
+    (1e-310, "0x0.0000000000001p-1022"),
+    (0.00135, "0x0.0000000000001p-1022"),
+    (0.0014, "0x0.0000415620022p-1022"),
+    (0.002, "0x1.9ec4827d4d61bp-731"),
+    (0.01, "0x1.18ccfe3f90e0bp-151"),
+    (0.03925, "0x1.ae09ffdad52eep-42"),
+    (0.1, "0x1.9616063ef920ap-18"),
+    (0.25, "0x1.152e9256b88d5p-7"),
+    (0.5, "0x1.8339cf50ef01ap-3"),
+    (0.9, "0x1.8cc7bc8ce5c01p+0"),
+    (0.999, "0x1.5436e50ed8e8cp+1"),
+    (1.0 - 1e-9, "0x1.5bf075d25aed1p+1"),
+    (1.0 - 1e-12, "0x1.5bf0a82f0b465p+1"),
+    (1.0 - 1e-15, "0x1.5bf0a8aff8408p+1"),
+]
+
+
 @pytest.fixture(scope="module")
 def law():
     return dh_law.DHLaw()
@@ -136,7 +156,7 @@ class TestCdfQuantile:
 
     @pytest.mark.filterwarnings("error")        # a frozen level must not warn
     def test_quantile_batch_invariant(self, law):
-        # subnormal delta (stopped by np.spacing), saturated, region A,
+        # subnormal delta (stopped by its residual), saturated, region A,
         # middle, edge and beyond-total-mass levels
         p = np.array([1e-310, 1e-4, 1.35e-3, 2e-3, 0.03925, 0.1, 0.5, 0.9, 0.999,
                       1.0 - 1e-9, 1.0 - 1e-12])
@@ -155,6 +175,23 @@ class TestCdfQuantile:
         monkeypatch.setattr(dh_law, "_QUANTILE_MAX_ITER", 1)
         with pytest.raises(RuntimeError):
             law.quantile(np.array([0.1, 0.5]))
+
+    @pytest.mark.parametrize("p,hexval", QUANTILE_PINS)
+    def test_quantile_pin(self, law, p, hexval):
+        # the scalar call and the batch of all pinned levels both match
+        assert float(law.quantile(p)).hex() == hexval
+        levels = np.array([pk for pk, _ in QUANTILE_PINS])
+        k = [pk for pk, _ in QUANTILE_PINS].index(p)
+        assert float(law.quantile(levels)[k]).hex() == hexval
+
+    def test_cdf_small_x_closed_form_oracle(self, law):
+        # x(delta) below 1e-3, where the mass piles up: the CDF reads delta
+        # from the cut solve directly, so it meets F(delta) to a few ulps
+        # (reading it back as pi - Im w would lose up to ~300)
+        d = np.geomspace(0.005, 0.5, 400)
+        f = dh_law._cdf_delta(d)
+        c = law.cdf(np.exp(dh_law._log_x(d)))
+        assert np.all(np.abs(c - f) <= 4.0 * np.spacing(f))
 
 
 class TestMoments:

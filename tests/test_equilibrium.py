@@ -243,6 +243,13 @@ class TestRateJ:
         assert np.isinf(eq.rate_J_largest(0.5 * dh_report.b_eq,
                                           dh_report.minimizer, cfg))
 
+    def test_non_finite_x(self, dh_report):
+        cfg = dh_cfg()
+        js = eq.rate_J_largest(np.array([np.nan, np.inf, -np.inf, dh_report.b_eq]),
+                               dh_report.minimizer, cfg)
+        assert np.isnan(js[0]) and js[1] == np.inf and js[2] == np.inf and js[3] == 0.0
+        assert np.isnan(eq.rate_J_largest(np.nan, dh_report.minimizer, cfg))
+
     def test_small_near_e_and_increasing(self, dh_report):
         # the discrete support endpoint lands a node spacing or two above e,
         # so the rate is evaluated from b_eq on; there it starts at exactly 0

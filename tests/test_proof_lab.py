@@ -310,6 +310,25 @@ def test_box_mass_log_rate_decays(uniform12):
     assert vals[2] < 0.02
 
 
+@pytest.mark.filterwarnings("error")        # a numpy warning fails the test
+@pytest.mark.parametrize("a,n", [(1.0, 50), (1.0, 1000), (1000.0, 50)])
+def test_box_mass_log_rate_exact(a, n):
+    # uniform on [a, a + 1]: each central third has width 1/(3n), so the
+    # log box mass is -sum(c_k) + n log(1 - e^(-1/(3n))); at a = 1000,
+    # e^-c underflows and the rate must still be finite
+    grid = pl.build_quantile_grid(pl.uniform_nice(a, a + 1.0), n)
+    ref = (-np.sum(grid.c) + n * np.log(-np.expm1(-1.0 / (3.0 * n)))) / n ** 2
+    assert pl.box_mass_log_rate(grid) == pytest.approx(ref, rel=1e-13)
+
+
+@pytest.mark.parametrize("lo", [1e-20, 2.8e-15])
+def test_truncated_dh_floor_in_the_edge_zone_raises(lo):
+    # hi = e - lo lies where the density is taken as its edge value 0
+    with pytest.raises(ValueError, match="2.9e-15"):
+        pl.truncated_dh(lo)
+    assert np.isfinite(pl.truncated_dh(3e-15).C)
+
+
 def test_truncated_dh_density_bounds(dh_trunc):
     xs = np.linspace(dh_trunc.a, dh_trunc.b, 500)
     dens = dh_trunc.density(xs)

@@ -246,6 +246,27 @@ class TestCutAbove:
         w = special.lambert_w0_cut_above(x)
         assert np.array_equal(w, special.lambert_w0_cut_above_log(np.log(-x)))
 
+    def test_log_form_is_built_from_cut_delta(self):
+        # w = (pi - delta) cot(delta) + i (pi - delta), delta = cut_delta(tau)
+        tau = np.concatenate([-1.0 + np.geomspace(1e-15, 1.0, 200),
+                              np.linspace(0.0, 40.0, 200), np.geomspace(40.0, 1e12, 200)])
+        d = special.cut_delta(tau)
+        w = special.lambert_w0_cut_above_log(tau)
+        assert np.all((d > 0.0) & (d < np.pi))
+        assert np.array_equal(w.imag, np.pi - d)
+        assert np.array_equal(w.real, (np.pi - d) / np.tan(d))
+
+    def test_bracketed_delta_falls_back_to_the_midpoint(self):
+        # a step that leaves the bracket is replaced by its midpoint; the
+        # root of delta - 0.3 is then met by bisection alone
+        def away(d):
+            return d < 0.3, np.full(d.shape, 10.0), np.zeros(d.shape, dtype=bool)
+        d = special.bracketed_delta(away, np.array([0.1]), np.array([0.0]),
+                                    np.array([1.0]), 100)
+        assert abs(d[0] - 0.3) <= 1e-15
+        assert special.bracketed_delta(away, np.array([0.1]), np.array([0.0]),
+                                       np.array([1.0]), 3) is None
+
     def test_matches_scipy_on_wide_cut(self):
         # the first point is left out: conditioning near the branch point
         # limits both values there.  The worst relative deviation measures
