@@ -67,7 +67,7 @@ def truncated_dh(lo, law=None):
     hi = float(np.e - lo)
     if not (0 < lo < hi):
         raise ValueError("need 0 < lo < e/2")
-    f_lo, f_hi = law.cdf(lo), law.cdf(hi)
+    f_lo, f_hi = law.cdf(np.array([lo, hi])).tolist()
     mass = f_hi - f_lo
 
     def density(x):

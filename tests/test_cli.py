@@ -472,3 +472,20 @@ def test_runtime_imports_no_scipy():
     names, loaded = (out + "\n").split("\n")[:2]
     assert "cli" in names.split()
     assert loaded.split() == []
+
+
+def test_moments_load_no_numpy_polynomial():
+    # the moment rule is closed-form: no numpy.polynomial, no eigen-solve
+    code = ("import importlib, pkgutil, sys, biortho\n"
+            "for m in pkgutil.iter_modules(biortho.__path__):\n"
+            "    importlib.import_module('biortho.' + m.name)\n"
+            "law = biortho.dh_law.DHLaw()\n"
+            "print(sum(law.moment_numeric(k) for k in range(13)))\n"
+            "print(' '.join(m for m in sys.modules if m.startswith('numpy.polynomial')))\n")
+    src = str(Path(biortho.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    total, loaded = (out + "\n").split("\n")[:2]
+    assert float(total) > 1.0
+    assert loaded.split() == []
