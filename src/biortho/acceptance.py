@@ -252,9 +252,7 @@ def criterion_9_empirical_rate():
     ref = _dh_equilibrium_deep().objective
     meds = []
     for n in (64, 128, 256, 512):
-        params = ensemble.EnsembleParams(n=n, theta=0.0, b=1.0, seed=11)
-        vals = [equilibrium.rate_I_empirical(ensemble.sample_spectrum(params, k), cfg)
-                for k in range(15)]
+        vals = [equilibrium.rate_I_empirical(s, cfg) for s in _spectra(n, 0.0, 1.0, 11, 15)]
         meds.append(float(np.median(vals)))
     dists = [abs(m - ref) for m in meds]
     decreasing = all(dists[k + 1] < dists[k] for k in range(len(dists) - 1))
@@ -269,10 +267,10 @@ def criterion_10_rate_j():
     [b_eq, 3 b_eq] at 20 points for the DH configuration."""
     rep = _dh_equilibrium()
     cfg = _dh_config()
-    j0 = equilibrium.rate_J_largest(rep.b_eq, rep.minimizer, cfg)
-    j_below = equilibrium.rate_J_largest(0.9 * rep.b_eq, rep.minimizer, cfg)
+    j0 = equilibrium.rate_J_largest(rep.b_eq, rep, cfg)
+    j_below = equilibrium.rate_J_largest(0.9 * rep.b_eq, rep, cfg)
     xs = np.linspace(rep.b_eq, 3.0 * rep.b_eq, 20)
-    js = equilibrium.rate_J_largest(xs, rep.minimizer, cfg)
+    js = equilibrium.rate_J_largest(xs, rep, cfg)
     increasing = bool(np.all(np.diff(js) > 0))
     ok = j0 == 0.0 and np.isinf(j_below) and increasing
     return ok, (f"J(b_eq) = {j0}, J(0.9 b_eq) = {j_below}, "

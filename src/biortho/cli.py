@@ -238,7 +238,7 @@ def _cmd_rate_largest(args):
     if not (np.isfinite(x_hi) and x_hi > report.b_eq):
         raise ValueError(f"--x-max must be finite and above b_eq = {report.b_eq:.6g}")
     xs = np.linspace(report.b_eq, x_hi, args.points)
-    js = equilibrium.rate_J_largest(xs, report.minimizer, cfg)
+    js = equilibrium.rate_J_largest(xs, report, cfg)
     payload = {
         "b_eq": report.b_eq,
         "kappa": report.kappa,

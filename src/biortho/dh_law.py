@@ -109,14 +109,24 @@ def _on_cut(x, edge, fn):
     return float(out[0]) if arr.ndim == 0 else out
 
 
+def _density_delta(d):
+    """f at x(delta)."""
+    # exp(Re w) sin(Im w) / pi with w = v*cot(delta) + i*v, v = pi - delta
+    v = np.pi - d
+    with np.errstate(over="ignore"):   # ~1/(x log^2 x): inf below 1e-305
+        return np.exp(v / np.tan(d)) * np.sin(v) / np.pi
+
+
 def dh_density(x):
     """Density of the Dykema-Haagerup law; zero outside (0, e), nan at nan."""
-    def on_cut(d):
-        # exp(Re w) sin(Im w) / pi with w = v*cot(delta) + i*v, v = pi - delta
-        v = np.pi - d
-        with np.errstate(over="ignore"):   # ~1/(x log^2 x): inf below 1e-305
-            return np.exp(v / np.tan(d)) * np.sin(v) / np.pi
-    return _on_cut(x, 0.0, on_cut)
+    return _on_cut(x, 0.0, _density_delta)
+
+
+def _cdf_and_density(x):
+    """(F(x), f(x)) for an array x in (0, e) from one cut solve per point;
+    both nan a few ulps below e, where the CDF reads 1 and the density 0."""
+    d = _on_cut(x, np.nan, lambda d: d)
+    return _cdf_delta(d), _density_delta(d)
 
 
 def dh_moment_exact(k):

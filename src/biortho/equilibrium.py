@@ -192,18 +192,11 @@ def minimize_I(cfg, grid, tol=1e-6, max_iter=200_000, w0=None):
     grad = mat @ w + vv
     kkt = _kkt(grad, w)
     minimizer = GridMeasure(nodes, w)
-    b_eq = _support_endpoint(minimizer)
+    b_eq = float(nodes[np.flatnonzero(w)[-1]])
     kappa = _effective_potential(np.array([b_eq]), minimizer, cfg)[0]
     return SolverReport(minimizer=minimizer, objective=0.5 * float(w @ (grad + vv)),
                         kkt_residual=kkt, b_eq=b_eq, kappa=kappa,
                         iterations=iterations, converged=kkt <= tol)
-
-
-def _support_endpoint(mu):
-    idx = np.flatnonzero(mu.weights > 0)
-    if idx.size == 0:
-        raise ValueError("measure has no positive weight")
-    return float(mu.nodes[idx[-1]])
 
 
 def _effective_potential(x, mu, cfg):
@@ -219,18 +212,18 @@ def _effective_potential(x, mu, cfg):
     return ((means + means_g) * mu.weights).sum(axis=1) + np.asarray(cfg.v(x), dtype=float)
 
 
-def rate_J_largest(x, mu_eq, cfg):
-    """Largest-particle rate J(x) = U(x) - U(b_eq) for finite x >= b_eq, +inf
-    below b_eq and at +inf, nan at nan; J(b_eq) = 0 exactly by construction."""
+def rate_J_largest(x, report, cfg):
+    """Largest-particle rate J(x) = U(x) - kappa under the solve's minimizer,
+    for finite x >= b_eq; +inf below b_eq and at +inf, nan at nan.  b_eq and
+    kappa = U(b_eq) are read from the SolverReport of minimize_I for cfg, so
+    J(b_eq) = 0 exactly."""
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     xs = np.atleast_1d(arr).astype(float)
-    b_eq = _support_endpoint(mu_eq)
-    kappa = _effective_potential(np.array([b_eq]), mu_eq, cfg)[0]
     out = np.where(np.isnan(xs), np.nan, np.inf)
-    ge = (xs >= b_eq) & (xs < np.inf)
+    ge = (xs >= report.b_eq) & (xs < np.inf)
     if ge.any():
-        out[ge] = _effective_potential(xs[ge], mu_eq, cfg) - kappa
+        out[ge] = _effective_potential(xs[ge], report.minimizer, cfg) - report.kappa
     return float(out[0]) if scalar else out
 
 

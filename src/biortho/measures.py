@@ -12,7 +12,9 @@ The bounded-Lipschitz distance is the W1 problem with the extra bound
 -sign(F_a - F_b), and a constant shift of f* leaves its value unchanged
 because both measures have unit mass.  So when f* oscillates by at most 2
 it fits in [-1, 1] after a shift, and d_BL = W1 exactly; only otherwise
-does bl_distance run its dynamic program along the sorted support.
+does bl_distance run its dynamic program along the sorted support.  Both
+distances read one merge of the two supports, stable-sorted with ties kept
+as zero gaps, so where f* fits bl_distance returns w1_distance's value.
 
 Every pass over the pairs i < j (the cell kernel, the off-diagonal energy,
 the proof lab's ratios and Riemann sums) walks lower_pairs in 1 MB blocks.
@@ -99,24 +101,33 @@ def pushforward(m, g):
     raise TypeError(f"not a measure: {type(m).__name__}")
 
 
-def w1_distance(a, b):
-    """Exact 1-Wasserstein distance: integral of |F_a - F_b| over the line."""
+def _merged(a, b):
+    """Both supports merged by one stable sort: the signed masses a - b at
+    the sorted points, the gaps between neighbours (0 at a tie) and the CDF
+    gap F_a - F_b after every point but the last."""
     xa, wa = support_and_weights(a)
     xb, wb = support_and_weights(b)
     x = np.concatenate([xa, xb])
-    df = np.concatenate([wa, -wb])
+    delta = np.concatenate([wa, -wb])
     order = np.argsort(x, kind="stable")
-    x, df = x[order], df[order]
-    cdf_gap = np.cumsum(df)[:-1]
-    return float(np.sum(np.abs(cdf_gap) * np.diff(x)))
+    x, delta = x[order], delta[order]
+    return delta, np.diff(x), np.cumsum(delta)[:-1]
+
+
+def w1_distance(a, b):
+    """Exact 1-Wasserstein distance: integral of |F_a - F_b| over the line."""
+    _, gaps, cdf_gap = _merged(a, b)
+    return float(np.sum(np.abs(cdf_gap) * gaps))
 
 
 def bl_distance(a, b):
     """Bounded-Lipschitz (Dudley) distance between finitely supported measures.
 
-    Maximizes sum_i f_i delta_i, delta = a - b on the merged sorted support,
-    over |f_i| <= 1 and |f_{i+1} - f_i| <= h_i, h the support gaps (on the
-    line adjacent increments control every 1-Lipschitz extension).  These
+    Maximizes sum_i f_i delta_i, delta = a - b on both supports stable-sorted
+    together (_merged, as w1_distance), over |f_i| <= 1 and
+    |f_{i+1} - f_i| <= h_i, h the gaps (on the line adjacent increments
+    control every 1-Lipschitz extension).  A tie is a zero gap, which
+    forces f_i = f_{i+1}: the same problem as one merged point.  These
     constraints form a path, solved exactly by a dynamic program along it:
     the value V_i(f) of the first i points is concave and piecewise linear on
     [-1, 1], held as deques of breakpoints on the two sides of its flat top
@@ -132,14 +143,7 @@ def bl_distance(a, b):
     puts f* in [-1, 1]; it is then feasible here, and since d_BL <= W1
     always, d_BL = W1, returned without the DP.
     """
-    xa, wa = support_and_weights(a)
-    xb, wb = support_and_weights(b)
-    x = np.concatenate([xa, xb])
-    signed = np.concatenate([wa, -wb])
-    xs, inv = np.unique(x, return_inverse=True)
-    delta = np.bincount(inv, weights=signed, minlength=xs.size)
-    gaps = np.diff(xs)
-    cdf_gap = np.cumsum(delta)[:-1]
+    delta, gaps, cdf_gap = _merged(a, b)
     potential = np.concatenate(([0.0], np.cumsum(-np.sign(cdf_gap) * gaps)))
     if potential.max() - potential.min() <= 2.0:
         return float(np.sum(np.abs(cdf_gap) * gaps))

@@ -67,7 +67,8 @@ def truncated_dh(lo, law=None):
     hi = float(np.e - lo)
     if not (0 < lo < hi):
         raise ValueError("need 0 < lo < e/2")
-    f_lo, f_hi = law.cdf(np.array([lo, hi])).tolist()
+    cdf, dens = dh_law._cdf_and_density(np.array([lo, hi]))
+    f_lo, f_hi = cdf.tolist()
     mass = f_hi - f_lo
 
     def density(x):
@@ -79,7 +80,7 @@ def truncated_dh(lo, law=None):
         q = law.quantile(inner)
         return np.clip(q, lo, hi)
 
-    f_max, f_min = density(np.array([lo, hi]))
+    f_max, f_min = dens / mass
     if not f_min > 0.0:     # a few ulps below e the density is taken as 0
         raise ValueError(f"the density is 0 at e - lo for lo = {lo:g}; need lo >= 2.9e-15")
     c = max(float(f_max), 1.0 / float(f_min), 1.0)

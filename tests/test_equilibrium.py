@@ -236,28 +236,27 @@ class TestMinimize:
 class TestRateJ:
     def test_zero_at_support_endpoint(self, dh_report):
         cfg = dh_cfg()
-        assert eq.rate_J_largest(dh_report.b_eq, dh_report.minimizer, cfg) == 0.0
+        assert eq.rate_J_largest(dh_report.b_eq, dh_report, cfg) == 0.0
 
     def test_infinite_below(self, dh_report):
         cfg = dh_cfg()
-        assert np.isinf(eq.rate_J_largest(0.5 * dh_report.b_eq,
-                                          dh_report.minimizer, cfg))
+        assert np.isinf(eq.rate_J_largest(0.5 * dh_report.b_eq, dh_report, cfg))
 
     def test_non_finite_x(self, dh_report):
         cfg = dh_cfg()
         js = eq.rate_J_largest(np.array([np.nan, np.inf, -np.inf, dh_report.b_eq]),
-                               dh_report.minimizer, cfg)
+                               dh_report, cfg)
         assert np.isnan(js[0]) and js[1] == np.inf and js[2] == np.inf and js[3] == 0.0
-        assert np.isnan(eq.rate_J_largest(np.nan, dh_report.minimizer, cfg))
+        assert np.isnan(eq.rate_J_largest(np.nan, dh_report, cfg))
 
     def test_small_near_e_and_increasing(self, dh_report):
         # the discrete support endpoint lands a node spacing or two above e,
         # so the rate is evaluated from b_eq on; there it starts at exactly 0
         cfg = dh_cfg()
         x_e = max(np.e, dh_report.b_eq)
-        assert abs(eq.rate_J_largest(x_e, dh_report.minimizer, cfg)) <= 0.02
+        assert abs(eq.rate_J_largest(x_e, dh_report, cfg)) <= 0.02
         xs = np.linspace(dh_report.b_eq, 3 * np.e, 20)
-        js = eq.rate_J_largest(xs, dh_report.minimizer, cfg)
+        js = eq.rate_J_largest(xs, dh_report, cfg)
         assert np.all(np.isfinite(js))
         assert np.all(np.diff(js) > 0)
 
@@ -338,7 +337,7 @@ class TestTheta1Exact:
         xs = np.array([4.5, 5.0, 6.0, 8.0, 12.0])
         exact = np.sqrt(xs * (xs - 4.0)) - 4.0 * np.log(
             (np.sqrt(xs) + np.sqrt(xs - 4.0)) / 2.0)
-        js = eq.rate_J_largest(xs, rep.minimizer, id_cfg())
+        js = eq.rate_J_largest(xs, rep, id_cfg())
         assert np.max(np.abs(js - exact)) <= 2e-4
 
     def test_kappa_and_objective(self):

@@ -175,7 +175,7 @@ class TestBoundedLipschitz:
         assert np.ptp(np.concatenate([a.points, b.points])) > 2.0
         assert w1_potential_range(a, b) <= 2.0
         bl = mm.bl_distance(a, b)
-        assert abs(bl - mm.w1_distance(a, b)) <= 1e-15
+        assert bl == mm.w1_distance(a, b)
         assert abs(bl - bl_lp(a, b)) <= 1e-12
 
     def test_bound_binding_matches_lp(self, rng):

@@ -329,6 +329,16 @@ def test_truncated_dh_floor_in_the_edge_zone_raises(lo):
     assert np.isfinite(pl.truncated_dh(3e-15).C)
 
 
+def test_truncated_dh_one_cut_solve(monkeypatch):
+    # F and f at both ends come from one delta per end, one batched solve
+    calls = []
+    solve = dh_law.special.cut_delta
+    monkeypatch.setattr(dh_law.special, "cut_delta",
+                        lambda tau: calls.append(tau.size) or solve(tau))
+    pl.truncated_dh(0.1)
+    assert calls == [2]
+
+
 def test_truncated_dh_density_bounds(dh_trunc):
     xs = np.linspace(dh_trunc.a, dh_trunc.b, 500)
     dens = dh_trunc.density(xs)
