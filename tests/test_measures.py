@@ -342,9 +342,10 @@ class TestCellKernel:
                     exact = float(-(g_hi - g_lo) / (hi - lo))
                     assert abs(kern[r, j] - exact) <= 1e-12 * max(1.0, abs(exact))
 
-    def test_blocks_match_default(self, monkeypatch, nodes):
+    @pytest.mark.parametrize("block", [1000, 1 << 17])
+    def test_blocks_match_default(self, monkeypatch, nodes, block):
         whole = mm.energy_kernel(nodes)
-        monkeypatch.setattr(mm, "_PAIR_BLOCK", 1000)
+        monkeypatch.setattr(mm, "_PAIR_BLOCK", block)
         assert np.array_equal(mm.energy_kernel(nodes), whole)
 
 

@@ -178,16 +178,19 @@ class TestParity:
     # Values recorded before the pair passes were blocked, with numpy 2.4.6
     # on an x86-64 Xeon (AVX-512 dispatch).  numpy's log may differ in the
     # last bit on another SIMD target, so a mismatch on a different CPU or
-    # numpy build need not mean a change in the pair passes.
+    # numpy build need not mean a change in the pair passes.  The dh grid
+    # reads F(0.1) and F(e - 0.1) through the cut solve, so its values were
+    # re-recorded when the solve's starts changed; the pair passes from
+    # before reproduce them on that grid.
     PARITY_PINS = {
         "uniform": ((1.0, 2.0), 1000, "identity",
                     ["0x1.8000000000000p+0", "0x1.8000000000000p+0",
                      "0x1.f95d91ab8e8eap-1", "0x1.f95d91ab8e8eap-1"],
                     ["0x1.7cb1e9782e6efp-1", "0x1.7cb1e9782e6efp-1"]),
         "dh": ((0.1,), 100, "log",
-               ["0x1.800000000001bp+0", "0x1.801648bf9f139p+0",
+               ["0x1.8000000000019p+0", "0x1.801648bf9f147p+0",
                 "0x1.bf7ced916872bp-1", "0x1.bf7ced916872bp-1"],
-               ["0x1.7f5cdea5fbf54p-2", "0x1.4098d3e06c064p-3"]),
+               ["0x1.7f5cdea5fbf59p-2", "0x1.4098d3e06c060p-3"]),
     }
 
     @pytest.mark.parametrize("name", sorted(PARITY_PINS))
