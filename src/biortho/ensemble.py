@@ -13,6 +13,7 @@ reproducible on its own, whatever trials run before it.
 Trials run one after another; BLAS threads each SVD.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,13 @@ import numpy as np
 from .measures import EmpiricalMeasure
 
 _MASK64 = 2 ** 64 - 1
+
+
+def check_count(name, value, least=0):
+    """ValueError naming the argument unless value is an integer (Python
+    or numpy) >= least."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -33,8 +41,7 @@ class EnsembleParams:
     seed: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("matrix dimension must be >= 1")
+        check_count("n", self.n, 1)
         if not 0 <= self.theta < np.inf:
             raise ValueError("theta must be finite and >= 0")
         if not 0 < self.b < np.inf:
@@ -91,6 +98,5 @@ def largest_particle(m):
 
 def sample_spectra(params, trials):
     """Spectra for trials 0..trials-1, in trial order."""
-    if trials < 0:
-        raise ValueError("trials must be nonnegative")
+    check_count("trials", trials)
     return [sample_spectrum(params, k) for k in range(trials)]

@@ -23,34 +23,36 @@ matrix trials, and the arithmetic is the single-chain arithmetic in the
 same order.  So chain c is bit for bit the same in every run of more than
 c chains at that seed, and chain 0 is the single-chain run.
 
-Each sweep forms all proposals up front and then walks the coordinates in
-blocks of at most _BLOCK rows, fewer where a block's table would pass
-_TABLE entries.  `coords`, shaped ([x, g, log x, V], [proposal, state],
-chain, slot), holds proposals and state; after the n coordinate slots, the
-x and g state rows carry the current block's proposals.  At block start one
-broadcast subtraction of those rows from the block's centres fills the
-block's table, shaped ([x, g], [new, old], chain, row, column): row i holds
-the gaps from x_i's proposal (new) and from x_i (old) to every coordinate,
-then to the block's own proposals.  abs and log follow; the own column
-reads log 1 = 0, a new x gap within _COINCIDENCE_TOL reads log 0 = -inf,
-and the old channels are negated.  A step is then one row sum over the
-contiguous last axis (the same n values, in the same order, as one gap row
-per step would give), one left-to-right sum of [pre, s_nx, -s_ox, s_ng,
--s_og], one compare, and, where chains accept, one masked copy of the
-proposal's column into the block's rows below.  The state is written once
-per block.  The identity map's g channels would repeat its x channels bit
-for bit, so its coords and tables hold no g channel.  Extra memory is
+Each sweep forms all proposals up front, each with its threshold
+thr = log u - pre, where pre = -n (V(x') - V(x)) + b (log x' - log x)
+carries the potential and the Jacobian (nan for x' outside (0, inf), which
+rejects).  It then walks the coordinates in blocks of at most _BLOCK rows,
+fewer where a block's gap table would pass _TABLE entries.  `coords`,
+shaped ([x, g, log x, V, log u], [proposal, state], chain, slot), holds
+proposals and state; after the n coordinate slots, the x and g state rows
+carry the current block's proposals.  At block start a copy of the block's
+centres and one subtraction of those rows fill `gaps`, shaped ([x, g],
+[new, old], chain, row, column): row i holds the gaps from x_i's proposal
+(new) and from x_i (old) to every coordinate, then to the block's own
+proposals.  After abs, a new x gap within _COINCIDENCE_TOL is set to 0.
+The block's ratio table, shaped (chain, row, column), takes new / old,
+multiplied over x and g, then 1 in the own column, then its log: one log
+per pair, and log 0 = -inf where a proposal came too close.  A step is
+then one sum over row i's first n columns, one compare with thr_i, and,
+where chains accept, one masked copy of the proposal's column into the
+block's rows below.  The state is written once per block.  The identity
+map's g ratios would repeat its x ratios bit for bit, so it keeps no g
+channel, and its thr is halved instead, which is exact.  Extra memory is
 O(chains * _BLOCK * n).
 """
 
-import numbers
 import time
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .ensemble import rng_stream
+from .ensemble import check_count, rng_stream
 from .measures import EmpiricalMeasure
 
 # kind -> (g, log|g|), each a function of (x, theta); log|g| is
@@ -70,9 +72,11 @@ _G_KINDS = {
 _COINCIDENCE_TOL = 1e-14
 _GROWTH_CHECKPOINTS = (1e2, 1e4, 1e6, 1e8)
 _TARGET_ACCEPT = 0.35        # burn-in adapts step sizes toward this rate
-# blocks (module docstring): 16 rows, or fewer where a table would pass
-# 2^16 entries (512 KB), which then falls out of cache: at n = 1000 with 20
-# chains, 16-row tables ran 1.2x slower than 1-row ones
+# blocks (module docstring): 16 rows, or fewer where a gap table would pass
+# 2^16 entries (512 KB), which then falls out of cache.  Of 8 to 64 rows and
+# 2^13 to 2^20 entries (2-core Xeon; n = 2 to 1000, 1 to 20 chains), none
+# was faster everywhere: 8 rows gained 7% at n = 32 with 20 chains and lost
+# 9% with 2, and 2^18 entries ran 1.2x slower at n = 1000 with 20 chains
 _BLOCK = 16
 _TABLE = 2 ** 16
 
@@ -177,8 +181,7 @@ class GasConfig:
     b: float = 1.0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("particle count must be >= 1")
+        check_count("n", self.n, 1)
         if not 0 < self.b < np.inf:
             raise ValueError("weight exponent b must be finite and > 0")
 
@@ -223,20 +226,18 @@ def mcmc_sample(cfg, steps, burn_in, seed, record_every=0, chains=1):
     Gaussian steps on log coordinates; the acceptance ratio carries the
     Jacobian term, so the chain targets the gas density itself.  Proposals
     landing within 1e-14 of another coordinate are rejected outright.
-    record_every > 0 (an integer) stores every so-many post-burn-in sweeps
-    in the diagnostics trace, (chains, records, n).  Chain c draws from
+    record_every > 0 stores every so-many post-burn-in sweeps in the
+    diagnostics trace, (chains, records, n).  steps, burn_in, chains and
+    record_every must be integers (numpy integers too); anything else
+    raises ValueError before any work.  Chain c draws from
     ensemble.rng_stream(seed, c): it is bit for bit the same in every run
     of more than c chains at that seed, and chain 0 is the single-chain
     run.  Every chain starts from the evenly spaced configuration
     x_i = 2(i + 1/2)/n, i = 0..n-1.
     """
-    if steps < 1 or burn_in < 1:
-        raise ValueError("steps and burn_in must be positive")
-    if chains < 1:
-        raise ValueError("chains must be positive")
-    if not isinstance(record_every, numbers.Integral) or record_every < 0:
-        raise ValueError(f"record_every must be a non-negative integer, "
-                         f"not {record_every!r}")
+    for name, value, least in (("steps", steps, 1), ("burn_in", burn_in, 1),
+                               ("chains", chains, 1), ("record_every", record_every, 0)):
+        check_count(name, value, least)
     worst = check_growth(cfg)
     if not worst > 1.0:
         raise ValueError(
@@ -249,87 +250,91 @@ def mcmc_sample(cfg, steps, burn_in, seed, record_every=0, chains=1):
     rows = max(1, min(_BLOCK, n, _TABLE // (2 * maps * k * n)))
     rngs = [rng_stream(seed, c) for c in range(k)]
     x0 = 2.0 * (np.arange(n) + 0.5) / n
-    # coords and the tables are laid out as in the module docstring
-    coords = np.empty((maps + 2, 2, k, n + rows))
+    # coords, gaps and the ratio table are laid out as in the module docstring
+    coords = np.zeros((maps + 3, 2, k, n + rows))
     prop, state = coords[:, 0, :, :n], coords[:, 1, :, :n]
     for ch, v in enumerate((x0, cfg.g(x0))[:maps] + (np.log(x0), cfg.v(x0))):
         state[ch] = v
-    xp, yp, vp = prop[0], prop[-2], prop[-1]
-    table = np.empty((maps, 2, k, rows, n + rows))
+    xp, yp, vp, log_u = prop[0], prop[maps], prop[maps + 1], prop[maps + 2]
+    gaps = np.empty((maps, 2, k, rows, n + rows))
+    table = np.empty((k, rows, n + rows))
     near = np.empty((k, rows, n + rows), dtype=bool)
-    terms = np.empty((n, 5, k))          # [pre_i, s_nx, -s_ox, s_ng, -s_og]
-    pre = terms[:, 0].T
-    diff = np.empty((2, k, n))
-    coef = np.array([cfg.b, -n], dtype=float)[:, None, None]
-    normals, uniforms, log_us, inside = (np.empty((k, n)) for _ in range(4))
+    diff = np.empty((3, k, n))
+    # [log x, V, log u] coefficients of thr = log u - pre, halved for the
+    # identity, whose rows hold its ratios once
+    coef = np.array([-cfg.b, n, 1.0])[:, None, None] * (0.5 if maps == 1 else 1.0)
+    normals, thr, inside = (np.empty((k, n)) for _ in range(3))
     sig = np.full((k, n), 0.5)
     log_sig = np.log(sig)
     accepted = np.zeros((k, n), dtype=bool)
     accepted_post = np.zeros((k, n), dtype=np.int64)
-    delta = np.empty(k)
+    sums = np.empty(k)
     blocks = []
     for i0 in range(0, n, rows):
         b = min(rows, n - i0)
-        tab = table[..., :b, :n + b]
-        own = np.lib.stride_tricks.as_strided(       # tab[..., r, i0 + r]
-            tab[..., i0:], tab.shape[:-1], tab.strides[:-2] + (sum(tab.strides[-2:]),))
+        gb, tab = gaps[..., :b, :n + b], table[:, :b, :n + b]
+        own = np.lib.stride_tricks.as_strided(       # tab[:, r, i0 + r]
+            tab[..., i0:], tab.shape[:-1], (tab.strides[0], sum(tab.strides[1:])))
         steps_in = []
         for r in range(b):
             i, acc = i0 + r, accepted[:, i0 + r]
             # rows below r take column n + r (proposal r) in place of column
             # i0 + r in the chains that accept proposal r
-            below = (table[..., r + 1:b, i0 + r], table[..., r + 1:b, n + r],
+            below = (table[:, r + 1:b, i0 + r], table[:, r + 1:b, n + r],
                      acc[:, None]) if r + 1 < b else None
-            steps_in.append((np.broadcast_to(table[:, :, :, r, :n], (2, 2, k, n)), terms[i],
-                             terms[i, 1:].reshape(2, 2, k), log_us[:, i], acc, below))
+            steps_in.append((table[:, r, :n], thr[:, i], acc, below))
         blocks.append((coords[:maps, 1, :, n:n + b], coords[:maps, 0, :, i0:i0 + b],
                        coords[:maps, :, :, i0:i0 + b, None],
                        coords[:maps, 1, None, :, None, :n + b],
-                       tab, own, tab[0, 0], near[:, :b, :n + b], tab[:, 1],
-                       coords[:, 1, :, i0:i0 + b], coords[:, 0, :, i0:i0 + b],
+                       gb, gb[0, 0], near[:, :b, :n + b], gb[:, 0], gb[:, 1], tab, own,
+                       coords[:-1, 1, :, i0:i0 + b], coords[:-1, 0, :, i0:i0 + b],
                        accepted[None, :, i0:i0 + b], steps_in))
     trace = np.empty((k, len(range(0, steps, record_every)) if record_every else 0, n))
 
     with np.errstate(all="ignore"):
         for sweep in range(burn_in + steps):
-            for rng, z, u in zip(rngs, normals, uniforms):
+            for rng, z, u in zip(rngs, normals, log_u):
                 rng.standard_normal(out=z)
                 rng.random(out=u)
-            np.log(uniforms, out=log_us)
+            np.log(log_u, out=log_u)
             # coordinate i's proposal depends only on its own log x_i and
             # step size, which no earlier update in the sweep touches
             np.multiply(sig, normals, out=yp)
-            np.add(state[-2], yp, out=yp)
+            np.add(state[maps], yp, out=yp)
             np.exp(yp, out=xp)
             if maps == 2:
                 prop[1] = cfg.g(xp)
             cfg.v(xp, out=vp)
-            # pre = -n (V(x') - V(x)) + b (log x' - log x), times x'/x': 1
-            # inside (0, inf) and nan outside, where the nan delta rejects
-            np.subtract(prop[-2:], state[-2:], out=diff)
+            # thr = log u - pre, pre = -n (V(x') - V(x)) + b (log x' - log x)
+            # (the state's log u is 0), times x'/x': 1 inside (0, inf) and
+            # nan outside, where the compare rejects
+            np.subtract(prop[maps:], state[maps:], out=diff)
             np.multiply(diff, coef, out=diff)
-            np.add(diff[1], diff[0], out=pre)
+            np.add.reduce(diff, 0, out=thr)
             np.divide(xp, xp, out=inside)
-            np.multiply(pre, inside, out=pre)
-            for (slots, block_prop, centres, columns, tab, own, new_x, near_b, old,
-                 state_b, prop_b, acc_b, steps_in) in blocks:
+            np.multiply(thr, inside, out=thr)
+            for (slots, block_prop, centres, columns, gb, new_x, near_b, new, old, tab,
+                 own, state_b, prop_b, acc_b, steps_in) in blocks:
                 np.copyto(slots, block_prop)
                 # two passes: numpy's subtract with a stride-0 operand is slower
-                np.copyto(tab, centres)
-                np.subtract(tab, columns, out=tab)
-                np.abs(tab, out=tab)
-                own.fill(1.0)
-                # log 0 = -inf: a proposal within tol of a coordinate rejects
+                np.copyto(gb, centres)
+                np.subtract(gb, columns, out=gb)
+                np.abs(gb, out=gb)
+                # ratio 0, log -inf: a proposal within tol of a coordinate
+                # rejects (every block has such gaps: row r to its own
+                # proposal's column, which no step reads, so no test first)
                 np.less_equal(new_x, tol, out=near_b)
-                if np.count_nonzero(near_b):
-                    np.copyto(new_x, 0.0, where=near_b)
+                np.copyto(new_x, 0.0, where=near_b)
+                if maps == 2:
+                    np.divide(new, old, out=new)
+                    np.multiply(new[0], new[1], out=tab)
+                else:
+                    np.divide(new[0], old[0], out=tab)
+                own.fill(1.0)
                 np.log(tab, out=tab)
-                np.negative(old, out=old)
-                for row, five, sums, log_u, acc, below in steps_in:
-                    np.add.reduce(row, 3, out=sums)
-                    # left to right: (((pre + s_nx) - s_ox) + s_ng) - s_og
-                    np.add.reduce(five, 0, out=delta)
-                    np.less(log_u, delta, out=acc)
+                for row, t, acc, below in steps_in:
+                    np.add.reduce(row, 1, out=sums)
+                    np.greater(sums, t, out=acc)
                     if below and np.count_nonzero(acc):
                         np.copyto(below[0], below[1], where=below[2])
                 np.copyto(state_b, prop_b, where=acc_b)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dh_law
-from .measures import (EmpiricalMeasure, bl_distance, log_kernel_means, lower_pairs,
+from .measures import (EmpiricalMeasure, bl_distance, log_kernel_mean, lower_pairs,
                        pair_log_sum, with_image)
 
 
@@ -276,7 +276,7 @@ def box_mass_log_rate(grid):
 
 def nice_energy(sigma, g=None, n0=256, tol=1e-6, max_doublings=4):
     """Logarithmic energy of sigma (or of g_* sigma): the mean of the exact
-    cell-pair kernel (measures.log_kernel_means) over the n equal-mass
+    cell-pair kernel (measures.log_kernel_mean) over the n equal-mass
     cells of build_quantile_grid(sigma, n), mapped by g when given;
     the cell count doubles until two resolutions agree to tol.
 
@@ -290,7 +290,7 @@ def nice_energy(sigma, g=None, n0=256, tol=1e-6, max_doublings=4):
         edges = build_quantile_grid(sigma, n).a
         if g is not None:
             edges = g(edges)
-        val = float(log_kernel_means(edges).mean())
+        val = log_kernel_mean(edges)
         if prev is not None and abs(val - prev) <= tol:
             return val
         prev = val

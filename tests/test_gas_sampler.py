@@ -18,6 +18,57 @@ from biortho.measures import EmpiricalMeasure, w1_distance
 BLOCK_PINS = json.loads(Path(__file__).with_name("gas_block_pins.json").read_text())
 
 
+# g for the reference sampler, written out rather than read from
+# gas_sampler._G_KINDS, so that a wrong column there shows
+REFERENCE_MAPS = {"identity": lambda x: x + 0.0, "log": np.log,
+                  "power:2": lambda x: x ** 2.0}
+
+
+def reference_sample(cfg, g, steps, burn_in, seed, chains):
+    """Plain single-coordinate Metropolis for the gas, one chain and one
+    coordinate at a time: the proposals come from the numpy calls
+    mcmc_sample makes on chain c's stream, and each decision from the
+    direct log-density difference -n dV + b dlog x + sum_j dlog|x - x_j|
+    + sum_j dlog|g - g_j|.  Returns final states (chains, n) and
+    post-burn-in acceptance counts (chains,)."""
+    n, b, tol = cfg.n, cfg.b, gas_sampler._COINCIDENCE_TOL
+    finals, counts = [], []
+    for c in range(chains):
+        rng = en.rng_stream(seed, c)
+        x = 2.0 * (np.arange(n) + 0.5) / n
+        log_x, v, gx = np.log(x), cfg.v(x), g(x)
+        log_sig = np.log(np.full(n, 0.5))
+        sig = np.exp(log_sig)
+        count = 0
+        for sweep in range(burn_in + steps):
+            z, u = rng.standard_normal(n), rng.random(n)
+            log_xp = log_x + sig * z
+            xp = np.exp(log_xp)
+            vp, gp = cfg.v(xp), g(xp)
+            accepted = np.zeros(n, dtype=bool)
+            for i in range(n):
+                others = np.arange(n) != i
+                near = np.abs(xp[i] - x[others]) <= tol
+                if not 0.0 < xp[i] < np.inf or near.any():
+                    continue
+                delta = (-n * (vp[i] - v[i]) + b * (log_xp[i] - log_x[i])
+                         + np.sum(np.log(np.abs(xp[i] - x[others]))
+                                  - np.log(np.abs(x[i] - x[others])))
+                         + np.sum(np.log(np.abs(gp[i] - gx[others]))
+                                  - np.log(np.abs(gx[i] - gx[others]))))
+                if np.log(u[i]) < delta:
+                    accepted[i] = True
+                    x[i], log_x[i], v[i], gx[i] = xp[i], log_xp[i], vp[i], gp[i]
+            if sweep < burn_in:
+                log_sig += (sweep + 1.0) ** -0.6 * (accepted - 0.35)
+                sig = np.exp(log_sig)
+            else:
+                count += int(accepted.sum())
+        finals.append(x)
+        counts.append(count)
+    return np.array(finals), np.array(counts)
+
+
 class TestGFunction:
     def test_parse(self):
         assert GFunction.parse("power:2").theta == 2.0
@@ -78,6 +129,34 @@ class TestPotential:
 def test_gas_config_rejects_infinite_weight_exponent():
     with pytest.raises(ValueError, match="finite"):
         GasConfig(4, GFunction("log"), Potential.linear(1.0), np.inf)
+
+
+LOG_GAS = GasConfig(4, GFunction("log"), Potential.linear(1.0), 1.0)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("steps", lambda: mcmc_sample(LOG_GAS, steps=10.5, burn_in=10, seed=0)),
+    ("steps", lambda: mcmc_sample(LOG_GAS, steps=10.0, burn_in=10, seed=0)),
+    ("burn_in", lambda: mcmc_sample(LOG_GAS, steps=10, burn_in="10", seed=0)),
+    ("chains", lambda: mcmc_sample(LOG_GAS, steps=10, burn_in=10, seed=0, chains=2.0)),
+    ("chains", lambda: mcmc_sample(LOG_GAS, steps=10, burn_in=10, seed=0, chains=0)),
+    ("n", lambda: GasConfig(2.5, GFunction("log"), Potential.linear(1.0), 1.0)),
+    ("n", lambda: en.EnsembleParams(n=3.0, theta=0.0, b=1.0, seed=0)),
+    ("trials", lambda: en.sample_spectra(en.EnsembleParams(3, 0.0, 1.0, 0), 2.0)),
+    ("trials", lambda: en.sample_spectra(en.EnsembleParams(3, 0.0, 1.0, 0), -1)),
+])
+def test_counts_must_be_integers(name, call):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        call()
+
+
+def test_counts_accept_numpy_integers():
+    cfg = GasConfig(np.int32(4), GFunction("log"), Potential.linear(1.0), 1.0)
+    _, diag = mcmc_sample(cfg, steps=np.int64(10), burn_in=np.int64(10), seed=0,
+                          chains=np.int64(2))
+    assert diag.final.shape == (2, 4)
+    specs = en.sample_spectra(en.EnsembleParams(np.int64(3), 0.0, 1.0, 0), np.int64(2))
+    assert [s.points.size for s in specs] == [3, 3]
 
 
 class TestGrowthCheck:
@@ -237,6 +316,20 @@ class TestMcmc:
         assert np.array_equal(meas.points, np.sort(diag.final, axis=None))
         assert diag.acceptance_rate == pytest.approx(np.mean(diag.chain_acceptance), abs=1e-15)
         assert isinstance(diag.acceptance_rate, float)
+
+    @pytest.mark.parametrize("g", sorted(REFERENCE_MAPS))
+    @pytest.mark.parametrize("n", [2, 5, 19])
+    def test_matches_reference_sampler(self, n, g):
+        # same draws, same decisions: a change to the density, the Jacobian,
+        # the rejection rules, the adaptation or the in-block bookkeeping
+        # moves the final states or the acceptance counts
+        cfg = GasConfig(n, GFunction.parse(g), Potential.linear(1.0), 1.0)
+        steps, burn_in = 40, 30
+        _, diag = mcmc_sample(cfg, steps=steps, burn_in=burn_in, seed=21, chains=2)
+        final, counts = reference_sample(cfg, REFERENCE_MAPS[g], steps, burn_in, 21, 2)
+        assert np.array_equal(diag.final, final)
+        assert np.array_equal(diag.chain_acceptance, counts / (n * steps))
+        assert counts.min() > 0
 
     def test_neighbouring_seeds_share_no_chain(self):
         cfg = self._gas(7, "log")

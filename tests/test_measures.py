@@ -348,6 +348,14 @@ class TestCellKernel:
         monkeypatch.setattr(mm, "_PAIR_BLOCK", block)
         assert np.array_equal(mm.energy_kernel(nodes), whole)
 
+    @pytest.mark.parametrize("block", [1000, 1 << 15])
+    def test_kernel_mean_without_the_matrix(self, monkeypatch, edges, block):
+        # 600 cells, 179,700 pairs: the block sum is the mean of the whole
+        # kernel up to summation order, within a few ulps of the mean
+        full = mm.log_kernel_means(edges).mean()
+        monkeypatch.setattr(mm, "_PAIR_BLOCK", block)
+        assert mm.log_kernel_mean(edges) == pytest.approx(full, rel=1e-14)
+
 
 @pytest.mark.parametrize("block", [1, 7, 1 << 17])
 def test_lower_pairs_walks_each_pair_once(monkeypatch, rng, block):
