@@ -44,10 +44,11 @@ def _dh_equilibrium():
 
 @functools.cache
 def _dh_equilibrium_deep():
-    """Reference objective for criterion 9: the [1e-4, ...] grid floor
-    inflates the objective by ~0.13 (it cannot spread the ~13% of mass that
-    lives below 1e-4), so the consistency comparison uses a grid reaching
-    1e-8, whose objective is within ~0.02 of the continuum optimum."""
+    """Reference objective for criterion 9.  Against the closed-form
+    optimum I_min = 3/4, the [1e-4, ...] grid floor inflates the objective by
+    ~0.10 (0.8534: it cannot spread the ~13% of mass that lives below 1e-4),
+    so the consistency comparison uses a grid reaching 1e-8, whose objective
+    0.7906 is still ~0.04 above it."""
     grid = equilibrium.make_grid(600, 1e-8, 4.0, geo_fraction=0.5)
     return equilibrium.minimize_I(_dh_config(), grid, tol=1e-4, max_iter=200_000)
 

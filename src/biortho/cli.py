@@ -195,7 +195,7 @@ def _solve(args):
     """(cfg, report): the rate-functional solve the shared solver flags ask
     for."""
     cfg = GasConfig(n=max(args.grid, 2), g=GFunction.parse(args.g),
-                    v=Potential.parse(args.V), b=args.b)
+                    v=Potential.parse(args.V))
     grid = equilibrium.make_grid(args.grid, *_parse_pair(args.domain))
     report = equilibrium.minimize_I(cfg, grid, tol=args.tol, max_iter=args.max_iter)
     return cfg, report
@@ -205,7 +205,7 @@ def _run_config(args, **params):
     """The invocation as JSON reports embed it: the solver flags, the
     subcommand's own parameters and the output path given."""
     return {"subcommand": args.cmd, "out": args.out,
-            "params": {"g": args.g, "V": args.V, "b": args.b, "grid": args.grid,
+            "params": {"g": args.g, "V": args.V, "grid": args.grid,
                        "domain": args.domain, "tol": args.tol,
                        "max_iter": args.max_iter, **params}}
 
@@ -336,7 +336,6 @@ def _solver_flags(tol):
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--g", default="log")
     p.add_argument("--V", default="linear:1")
-    p.add_argument("--b", type=float, default=1.0)
     p.add_argument("--grid", type=int, default=400)
     p.add_argument("--domain", default="1e-4,4")
     p.add_argument("--tol", type=float, default=tol)

@@ -37,7 +37,6 @@ edge.
 
 import functools
 import math
-import numbers
 from fractions import Fraction
 
 import numpy as np
@@ -47,13 +46,6 @@ from . import special
 _LOG_TINY = math.log(5e-324)  # quantiles below p ~ 1.3e-3 saturate here
 _QUANTILE_MAX_ITER = 100      # 1.4e5 levels over (5e-324, 1 - 1e-16) needed <= 5
 _MOMENT_NODES = 200           # even; moments k <= 12 to 4.4e-16 relative
-
-
-def _moment_order(k):
-    """k as an int; ValueError unless k is a non-negative integer."""
-    if not isinstance(k, numbers.Integral) or k < 0:
-        raise ValueError(f"moment order must be a non-negative integer, not {k!r}")
-    return int(k)
 
 
 def _fejer(n):
@@ -95,8 +87,7 @@ def _on_cut(x, edge, fn):
     the cut solver's branch point) the value is taken as `edge` too: the
     density there is below 1e-8 and 1 - F below 1e-22.
     """
-    arr = np.asarray(x, dtype=float)
-    a = np.atleast_1d(arr).astype(float)
+    a, back = special.elementwise(x, float)
     out = np.where(a >= np.e, edge, np.where(a <= 0.0, 0.0, np.nan))
     inside = (a > 0.0) & (a < np.e)
     if inside.any():
@@ -106,7 +97,7 @@ def _on_cut(x, edge, fn):
         if ok.any():
             vals[ok] = fn(special.cut_delta(tau[ok]))
         out[inside] = vals
-    return float(out[0]) if arr.ndim == 0 else out
+    return back(out)
 
 
 def _density_delta(d):
@@ -131,21 +122,18 @@ def _cdf_and_density(x):
 
 def dh_moment_exact(k):
     """k-th moment k^k/(k+1)! (0^0 = 1), exact rational arithmetic."""
-    k = _moment_order(k)
+    special.check_count("k", k)
+    k = int(k)
     return float(Fraction(k ** k if k > 0 else 1, math.factorial(k + 1)))
 
 
 def dh_stieltjes(z):
     """Stieltjes transform -1 + exp(W0(-1/z)) on the upper half-plane,
     formed as expm1 so that it keeps full relative precision at large |z|."""
-    arr = np.asarray(z, dtype=complex)
-    scalar = arr.ndim == 0
-    zc = np.atleast_1d(arr).astype(complex)
+    zc, back = special.elementwise(z, complex)
     if not (np.all(np.isfinite(zc)) and np.all(zc.imag > 0.0)):
         raise ValueError("dh_stieltjes requires finite z with Im(z) > 0")
-    w = special.lambert_w0_complex(-1.0 / zc)
-    s = np.expm1(w)
-    return complex(s[0]) if scalar else s
+    return back(np.expm1(special.lambert_w0_complex(-1.0 / zc)))
 
 
 # Taylor coefficients of -1/((1-z)log(1-z)) - 1/z at 0; leading term is the
@@ -161,10 +149,7 @@ def dh_r_transform(z):
     A real-typed argument gives real values and a complex-typed one complex
     values, whatever its imaginary part.
     """
-    arr = np.asarray(z)
-    real_in = np.isrealobj(arr)
-    scalar = arr.ndim == 0
-    zc = np.atleast_1d(arr).astype(complex)
+    zc, back = special.elementwise(z, complex)
     if not np.all(np.isfinite(zc)):
         raise ValueError("dh_r_transform requires finite z")
     mag = np.abs(zc)
@@ -184,10 +169,7 @@ def dh_r_transform(z):
     if rest.any():
         zr = zc[rest]
         out[rest] = -1.0 / ((1.0 - zr) * np.log(1.0 - zr)) - 1.0 / zr
-    if scalar:
-        val = complex(out[0])
-        return val.real if real_in else val
-    return out.real if real_in else out
+    return back(out.real if np.isrealobj(z) else out)
 
 
 class DHLaw:
@@ -235,9 +217,7 @@ class DHLaw:
         a few ulps apart may swap by an ulp or two of log x (5.7e-14 relative
         at worst where log x ~ -166).
         """
-        arr = np.asarray(p, dtype=float)
-        scalar = arr.ndim == 0
-        pp = np.atleast_1d(arr).astype(float)
+        pp, back = special.elementwise(p, float)
         if not np.all((pp > 0.0) & (pp < 1.0)):
             raise ValueError("quantile requires 0 < p < 1")
 
@@ -251,15 +231,14 @@ class DHLaw:
         d = special.bracketed_delta(newton, d, 0.0, d, _QUANTILE_MAX_ITER)
         if d is None:
             raise RuntimeError("DH quantile: Newton iteration did not converge")
-        q = np.exp(np.maximum(_log_x(d), _LOG_TINY))
-        return float(q[0]) if scalar else q
+        return back(np.exp(np.maximum(_log_x(d), _LOG_TINY)))
 
     # -- moments -----------------------------------------------------------
 
     def moment_numeric(self, k):
         """k-th moment, k up to 12, by the fixed Fejer rule in delta (built
         on the first call): sum of weight * x(delta)^k."""
-        k = _moment_order(k)
+        special.check_count("k", k)
         if k > 12:
             raise ValueError("moment_numeric supports k <= 12")
         log_x, weight = self._moment_rule

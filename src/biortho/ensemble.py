@@ -13,21 +13,14 @@ reproducible on its own, whatever trials run before it.
 Trials run one after another; BLAS threads each SVD.
 """
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .measures import EmpiricalMeasure
+from .special import check_count
 
 _MASK64 = 2 ** 64 - 1
-
-
-def check_count(name, value, least=0):
-    """ValueError naming the argument unless value is an integer (Python
-    or numpy) >= least."""
-    if not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, not {value!r}")
 
 
 @dataclass(frozen=True)

@@ -48,10 +48,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import special
 # log_energy_grid is unused here but stays importable under this module,
 # where perfbench/spans.py traces it
-from .measures import (GridMeasure, energy_kernel, log_energy_grid,  # noqa: F401
-                       log_energy_offdiag, log_kernel_means, pushforward,
+from .measures import (EmpiricalMeasure, GridMeasure, energy_kernel,  # noqa: F401
+                       log_energy_grid, log_energy_offdiag, log_kernel_means,
                        voronoi_cell_edges, with_image)
 
 
@@ -97,9 +98,7 @@ def make_grid(n, lo, hi, geo_fraction=0.25):
     uniform spacing beyond.  Without room for both parts it is uniform."""
     if not 0 < lo < hi < np.inf:
         raise ValueError("need finite 0 < lo < hi")
-    n = int(n)
-    if n < 2:
-        raise ValueError("need at least two nodes")
+    special.check_count("n", n, 2)
     split = min(_GEO_UNTIL, hi / 2)
     if lo >= split or geo_fraction <= 0 or n < 3:
         return np.linspace(lo, hi, n)
@@ -217,20 +216,19 @@ def rate_J_largest(x, report, cfg):
     for finite x >= b_eq; +inf below b_eq and at +inf, nan at nan.  b_eq and
     kappa = U(b_eq) are read from the SolverReport of minimize_I for cfg, so
     J(b_eq) = 0 exactly."""
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    xs = np.atleast_1d(arr).astype(float)
+    xs, back = special.elementwise(x, float)
     out = np.where(np.isnan(xs), np.nan, np.inf)
     ge = (xs >= report.b_eq) & (xs < np.inf)
     if ge.any():
         out[ge] = _effective_potential(xs[ge], report.minimizer, cfg) - report.kappa
-    return float(out[0]) if scalar else out
+    return back(out)
 
 
 def rate_I_empirical(m, cfg):
-    """Rate functional of an empirical measure via off-diagonal energies."""
+    """Rate functional of an empirical measure via off-diagonal energies,
+    that of the g-image read from the same with_image as the solver's."""
     if m.n and m.points[0] <= 0:
         raise ValueError("rate_I_empirical requires support in (0, inf)")
-    e_x = log_energy_offdiag(m)
-    e_g = log_energy_offdiag(pushforward(m, cfg.g))
+    e_x, e_g = with_image(lambda x: log_energy_offdiag(EmpiricalMeasure(x)),
+                          cfg.g, m.points)
     return 0.5 * e_x + 0.5 * e_g + float(np.mean(cfg.v(m.points)))

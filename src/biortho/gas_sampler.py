@@ -52,8 +52,9 @@ from typing import Optional
 
 import numpy as np
 
-from .ensemble import check_count, rng_stream
+from .ensemble import rng_stream
 from .measures import EmpiricalMeasure
+from .special import check_count
 
 # kind -> (g, log|g|), each a function of (x, theta); log|g| is
 # overflow-safe (log exp(x) = x without forming exp(x))

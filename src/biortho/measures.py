@@ -1,11 +1,10 @@
-"""Measure containers, push-forwards, distances, and logarithmic energies.
+"""Measure containers, distances, and logarithmic energies.
 
 Two finitely supported containers: EmpiricalMeasure (uniform 1/n weights on
 sorted points) and GridMeasure (fixed nodes, probability weight vector).
-On top of them: push-forward by an increasing map, the exact W1 distance
-(integral of the CDF gap), the exact bounded-Lipschitz (Dudley) distance,
-off-diagonal and grid logarithmic energies, and the two-scale pair kernel
-with its confinement lower bound.
+On top of them: the exact W1 distance (integral of the CDF gap), the exact
+bounded-Lipschitz (Dudley) distance, off-diagonal and grid logarithmic
+energies, and the two-scale pair kernel with its confinement lower bound.
 
 The bounded-Lipschitz distance is the W1 problem with the extra bound
 |f| <= 1.  W1's maximizer is the potential f* whose slope is
@@ -29,6 +28,8 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import special
 
 
 @dataclass(frozen=True)
@@ -85,19 +86,6 @@ def support_and_weights(m):
         return m.points, m.weights()
     if isinstance(m, GridMeasure):
         return m.nodes, m.weights
-    raise TypeError(f"not a measure: {type(m).__name__}")
-
-
-def pushforward(m, g):
-    """Image measure under an increasing map g; weights unchanged."""
-    if isinstance(m, EmpiricalMeasure):
-        if m.n and m.points[0] <= 0:
-            raise ValueError("pushforward requires support in (0, inf)")
-        return EmpiricalMeasure(g(m.points))
-    if isinstance(m, GridMeasure):
-        if m.nodes[0] <= 0:
-            raise ValueError("pushforward requires support in (0, inf)")
-        return GridMeasure(g(m.nodes), m.weights)
     raise TypeError(f"not a measure: {type(m).__name__}")
 
 
@@ -353,24 +341,17 @@ def log_energy_grid(m):
 def pair_kernel_f(x, y, cfg):
     """Two-scale pair kernel
     -log|x-y|/2 - log|g(x)-g(y)|/2 + (V(x)+V(y))/2; +inf at coincidence."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = np.broadcast_arrays(x, y)
+    (x, back), (y, _) = special.elementwise(x, float), special.elementwise(y, float)
     gx, gy = cfg.g(x), cfg.g(y)
     with np.errstate(divide="ignore"):
-        val = (-0.5 * np.log(np.abs(x - y))
-               - 0.5 * np.log(np.abs(gx - gy))
-               + 0.5 * (cfg.v(x) + cfg.v(y)))
-    if val.ndim == 0:
-        return float(val)
-    return val
+        return back(-0.5 * np.log(np.abs(x - y))
+                    - 0.5 * np.log(np.abs(gx - gy))
+                    + 0.5 * (cfg.v(x) + cfg.v(y)))
 
 
 def pair_kernel_lower(t, cfg):
     """Single-variable confinement minorant phi with f(x,y) >= phi(x)+phi(y):
     phi(t) = -log(1+t)/2 - log(1+|g(t)|)/2 + V(t)/2."""
-    t = np.asarray(t, dtype=float)
-    val = (-0.5 * np.log1p(t) - 0.5 * np.log1p(np.abs(cfg.g(t)))
-           + 0.5 * cfg.v(t))
-    if val.ndim == 0:
-        return float(val)
-    return val
+    t, back = special.elementwise(t, float)
+    return back(-0.5 * np.log1p(t) - 0.5 * np.log1p(np.abs(cfg.g(t))) + 0.5 * cfg.v(t))

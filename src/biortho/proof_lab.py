@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dh_law
+from . import dh_law, special
 from .measures import (EmpiricalMeasure, bl_distance, log_kernel_mean, lower_pairs,
                        pair_log_sum, with_image)
 
@@ -103,9 +103,7 @@ class QuantileGrid:
 
 def build_quantile_grid(sigma, n):
     """Quantile grid with a_k = quantile(k/n), endpoints pinned to [a, b]."""
-    n = int(n)
-    if n < 2:
-        raise ValueError("need n >= 2")
+    special.check_count("n", n, 2)
     a = np.asarray(sigma.quantile(np.arange(n + 1) / n), dtype=float)
     a[0], a[-1] = sigma.a, sigma.b
     if np.any(np.diff(a) <= 0):
@@ -249,8 +247,7 @@ def configuration_bl_check(grid, sigma, m=10_000, z=None):
     """Bounded-Lipschitz distance between a central-thirds configuration
     (default: interval midpoints) and an m-point quantile discretization of
     sigma.  The construction promises <= C/n plus 2/m discretization slack."""
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    special.check_count("m", m, 1)
     if z is None:
         z = 0.5 * (grid.c + grid.d)
     else:
@@ -284,6 +281,7 @@ def nice_energy(sigma, g=None, n0=256, tol=1e-6, max_doublings=4):
     resolutions within tol.  With max_doublings=0 nothing is compared, and
     the value at n0 cells is returned unchecked.
     """
+    special.check_count("n0", n0, 2)
     prev = None
     n = n0
     for _ in range(max_doublings + 1):

@@ -27,7 +27,13 @@ freezes each point at its own stop, so values do not depend on the batch.
 All entry points accept scalars or numpy arrays, are pure, and raise
 ValueError outside their domain, nan included.  numpy's SIMD tan, log and
 exp may differ in the last bit on another CPU target.
+
+This lowest layer also holds the package's argument contract: every public
+evaluator reads its argument through elementwise, and every count argument
+is checked by check_count.
 """
+
+import numbers
 
 import numpy as np
 
@@ -40,6 +46,24 @@ _SMALL = 2.0 ** -20            # below this |z|, W0 is its cubic Taylor polynomi
 _CUT_MAX_ITER = 50             # a dense sweep of tau over (-1, 1e12] needs at most 3
 _EPS = np.finfo(float).eps
 _TINY = float(np.nextafter(0.0, 1.0))
+
+
+def elementwise(x, dtype):
+    """(a, back): x as a `dtype` array of at least one dimension, a view of
+    x where no conversion is needed (callers only read it), and back(out),
+    which turns a result computed on a into a Python number when x is a
+    scalar (a 0-d array included) and leaves it an array otherwise."""
+    a = np.atleast_1d(np.asarray(x, dtype=dtype))
+    if np.ndim(x) == 0:
+        return a, lambda out: out[0].item()
+    return a, lambda out: out
+
+
+def check_count(name, value, least=0):
+    """ValueError naming the argument unless value is an integer (Python
+    or numpy) >= least."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, not {value!r}")
 
 
 class LambertWError(RuntimeError):
@@ -84,14 +108,12 @@ def lambert_w0_real(x):
     Raises ValueError for x < -1/e (beyond a 1e-15 slack at the branch
     point), inf or nan, and LambertWError if the iteration cap is hit.
     """
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    a = np.atleast_1d(arr).astype(float)
+    a, back = elementwise(x, float)
     if not np.all((a >= BRANCH_POINT - _BRANCH_SLACK) & (a < np.inf)):
         raise ValueError("lambert_w0_real requires finite x >= -1/e")
     # clip the slack to -1/e; on the real axis the complex solve returns +0.0j
-    w = np.maximum(_w0_off_cut(np.maximum(a, BRANCH_POINT).astype(complex)).real, -1.0)
-    return float(w[0]) if scalar else w
+    w = _w0_off_cut(np.maximum(a, BRANCH_POINT).astype(complex)).real
+    return back(np.maximum(w, -1.0))
 
 
 def lambert_w0_complex(z):
@@ -103,9 +125,7 @@ def lambert_w0_complex(z):
     that lands outside that strip raises LambertWError.  A non-finite z
     raises ValueError.
     """
-    arr = np.asarray(z, dtype=complex)
-    scalar = arr.ndim == 0
-    zc = np.atleast_1d(arr).astype(complex)
+    zc, back = elementwise(z, complex)
     if not np.all(np.isfinite(zc)):
         raise ValueError("lambert_w0_complex requires finite z")
     if np.any((zc.imag == 0.0) & (zc.real < BRANCH_POINT)):
@@ -119,7 +139,7 @@ def lambert_w0_complex(z):
     w.imag[up & (w.imag == 0.0)] = _TINY
     if np.any(up & ((w.imag <= 0.0) | (w.imag >= np.pi))):
         raise LambertWError("Halley iteration left the principal branch")
-    return complex(w[0]) if scalar else w
+    return back(w)
 
 
 def _w0_off_cut(zc):
@@ -151,29 +171,28 @@ def lambert_w0_cut_above(x):
     <= 1e-12*|x|.  Raises ValueError for x >= -1/e and for nan.  The value
     is lambert_w0_cut_above_log(log(-x)), the cut solve in tau = log|x|.
     """
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    a = np.atleast_1d(arr).astype(float)
+    a, back = elementwise(x, float)
     if not np.all(a < BRANCH_POINT):
         raise ValueError("lambert_w0_cut_above requires x < -1/e")
-    w = lambert_w0_cut_above_log(np.log(-a))
-    return complex(w[0]) if scalar else w
+    return back(lambert_w0_cut_above_log(np.log(-a)))
 
 
 def lambert_w0_cut_above_log(tau):
     """Cut boundary value of W0 at x = -exp(tau) for -1 < tau <= 1e12, far
     beyond float overflow of |x| itself: w = v*cot(delta) + i*v with
     v = pi - delta, delta = cut_delta(tau)."""
-    d = cut_delta(tau)
+    t, back = elementwise(tau, float)
+    d = cut_delta(t)
     v = np.pi - d
-    return v / np.tan(d) + 1j * v
+    return back(v / np.tan(d) + 1j * v)
 
 
 def cut_delta(tau):
     """delta = pi - Im W+(-exp(tau)) in (0, pi) for -1 < tau <= 1e12, to full
-    relative precision at both ends.  With v = pi - delta and
-    q = cot(delta) = 1/tan(delta), so -log(sin delta) = log(c2)/2 with
-    c2 = 1 + q^2, Halley's method solves the decreasing
+    relative precision at both ends, as an array of at least one dimension.
+    With v = pi - delta and q = cot(delta) = 1/tan(delta), so
+    -log(sin delta) = log(c2)/2 with c2 = 1 + q^2, Halley's method solves
+    the decreasing
         h(delta) = log(v) + log(c2)/2 + v*q - tau,
         h' = -1/v - 2q - v*c2,    h'' = c2*(3 + 2v*q) - 1/v^2,
     stepping delta - 2h*h'/(2h'^2 - h*h'') in bracketed_delta over
@@ -188,7 +207,7 @@ def cut_delta(tau):
     once h is at the rounding level of its four terms; LambertWError is
     raised after _CUT_MAX_ITER steps.
     """
-    t = np.atleast_1d(np.asarray(tau, dtype=float))
+    t = elementwise(tau, float)[0]
     if not np.all((t > -1.0) & (t <= 1e12)):
         raise ValueError("the cut solve requires -1 < tau <= 1e12")
     u = t + 1.0

@@ -92,7 +92,7 @@ class TestDispatch:
         ("sample-gas", "--n", "4", "--V", "poly:nan,1", "--steps", "5", "--burn-in", "5"),
         ("equilibrium", "--grid", "30", "--V", "linear:inf"),
         ("equilibrium", "--grid", "30", "--g", "power:inf"),
-        ("equilibrium", "--grid", "30", "--b", "inf"),
+        ("sample-gas", "--n", "4", "--b", "inf", "--steps", "5", "--burn-in", "5"),
         ("sample-matrix", "--n", "3", "--theta", "nan"),
         ("sample-matrix", "--n", "3", "--theta", "inf"),
         ("sample-matrix", "--n", "3", "--b", "inf"),
@@ -109,6 +109,14 @@ class TestDispatch:
         code, stdout, err = run(capsys, *argv)
         assert code == 1 and stdout == "" and not out.exists()
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("cmd", ["equilibrium", "rate-largest"])
+    def test_solver_has_no_b_flag(self, tmp_path, capsys, cmd):
+        # the rate functional has no weight exponent, so --b is unknown there
+        out = tmp_path / "out"
+        code, stdout, err = run(capsys, cmd, "--grid", "30", "--b", "1", "--out", str(out))
+        assert code == 1 and stdout == "" and not out.exists()
+        assert err.startswith("usage: ")
 
     @pytest.mark.parametrize("argv,text", [
         (("equilibrium", "--domain", "1,2,3", "--out", "unused"), "1,2,3"),
@@ -264,6 +272,7 @@ class TestEquilibriumCommand:
         assert payload["kkt_residual"] <= 1e-3
         assert payload["iterations"] > 0
         assert payload["run_config"]["subcommand"] == "equilibrium"
+        assert "b" not in payload["run_config"]["params"]
         svg = plot.read_text()
         assert svg.startswith("<svg")
         assert svg.count("<path") == 1      # overlay curve only; bars are rects

@@ -179,3 +179,69 @@ def test_no_private_function_only_tests_call(sources):
 
 def test_no_module_constant_only_tests_read(sources):
     assert uncalled(sources, module_assignments) == []
+
+
+# the package's argument contract: special.elementwise is the one scalar/array
+# rule and special.check_count the one count rule
+CONTRACT = {"special.py": {"elementwise", "check_count"}}
+
+
+def contract_breaches(source, allowed=()):
+    """(top-level definition, line) of every scalar/array or count rule
+    outside the definitions named in `allowed`: an atleast_1d or ndmin=
+    promotion, an ndim compared with 0, or a numbers.Integral check."""
+    found = []
+
+    def is_ndim(node):
+        if isinstance(node, ast.Call):
+            node = node.func
+        return (isinstance(node, ast.Attribute) and node.attr == "ndim"
+                or isinstance(node, ast.Name) and node.id == "ndim")
+
+    def visit(node, top):
+        if isinstance(node, ast.Attribute):
+            hit = node.attr in ("atleast_1d", "Integral")
+        elif isinstance(node, ast.Name):
+            hit = node.id in ("atleast_1d", "Integral")
+        elif isinstance(node, ast.alias):
+            hit = node.name in ("atleast_1d", "Integral")
+        elif isinstance(node, ast.keyword):
+            hit = node.arg == "ndmin"
+        elif isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            hit = any(map(is_ndim, sides)) and any(
+                isinstance(s, ast.Constant) and s.value == 0 for s in sides)
+        else:
+            hit = False
+        if hit and top not in allowed:
+            found.append((top, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, top)
+
+    for node in ast.parse(source).body:
+        visit(node, getattr(node, "name", None))
+    return found
+
+
+def test_contract_checker():
+    source = ("import numbers\n"
+              "from numpy import atleast_1d\n"
+              "def elementwise(x):\n"
+              "    a = np.array(x, ndmin=1)\n"
+              "    return a, np.ndim(x) == 0\n"
+              "def rogue(x, k):\n"
+              "    a = np.atleast_1d(x)\n"
+              "    if a.ndim == 0 or 0 != np.ndim(x):\n"
+              "        pass\n"
+              "    return isinstance(k, numbers.Integral), a.ndim == 1\n"
+              "class Box:\n"
+              "    def get(self, x):\n"
+              "        return np.array(x, ndmin=1)\n")
+    assert contract_breaches(source, {"elementwise"}) == [
+        (None, 2), ("rogue", 7), ("rogue", 8), ("rogue", 8), ("rogue", 10), ("Box", 13)]
+    assert len(contract_breaches(source)) == 8
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_one_argument_contract(path):
+    assert contract_breaches(path.read_text(), CONTRACT.get(path.name, ())) == []

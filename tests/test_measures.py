@@ -78,31 +78,6 @@ class TestContainers:
         assert g.n == 2
 
 
-class TestPushforward:
-    def test_identity(self):
-        m = em(1.0, 2.0)
-        out = mm.pushforward(m, GFunction("identity"))
-        assert np.array_equal(out.points, m.points)
-
-    def test_log(self):
-        out = mm.pushforward(em(1.0, np.e), GFunction("log"))
-        assert np.allclose(out.points, [0.0, 1.0])
-
-    def test_power(self):
-        out = mm.pushforward(em(1.0, 2.0, 3.0), GFunction("power", 2.0))
-        assert np.allclose(out.points, [1.0, 4.0, 9.0])
-
-    def test_grid_weights_preserved(self):
-        g = mm.GridMeasure([1.0, 2.0, 3.0], [0.2, 0.3, 0.5])
-        out = mm.pushforward(g, GFunction("power", 2.0))
-        assert np.array_equal(out.weights, g.weights)
-        assert out.weights.sum() == pytest.approx(1.0, abs=0)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            mm.pushforward(em(0.0, 1.0), GFunction("log"))
-
-
 class TestW1:
     def test_identical(self):
         assert mm.w1_distance(em(1.0, 2.0), em(1.0, 2.0)) == 0.0

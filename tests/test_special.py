@@ -236,7 +236,7 @@ class TestCutAbove:
         tau = np.concatenate([-1.0 + np.geomspace(1e-15, 1.0, 40),
                               np.linspace(0.0, 40.0, 40), np.geomspace(40.0, 1e12, 40)])
         w = special.lambert_w0_cut_above_log(tau)
-        assert all(w[k] == special.lambert_w0_cut_above_log(t)[0]
+        assert all(w[k] == special.lambert_w0_cut_above_log(t)
                    for k, t in enumerate(tau))
 
     def test_equals_log_form_exactly(self):
@@ -288,7 +288,7 @@ class TestCutAbove:
     def test_quarter_turn(self):
         # tau = log(pi/2) is delta = pi/2, where q = cot(delta) = 0 and tan
         # is at its pole: W(-pi/2) = i*pi/2
-        w = special.lambert_w0_cut_above_log(np.log(np.pi / 2.0))[0]
+        w = special.lambert_w0_cut_above_log(np.log(np.pi / 2.0))
         assert abs(w.real) <= 1e-15
         assert abs(w.imag - np.pi / 2.0) <= 4e-16
         w = special.lambert_w0_cut_above(-np.pi / 2.0)
