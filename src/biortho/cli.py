@@ -2,7 +2,8 @@
 
 Subcommands: sample-matrix, sample-gas, dh, equilibrium, rate-largest,
 quantile-check, lambertw, verify.  Exit codes: 0 success, 1 domain or
-validation error, 2 numerical failure.  CSV output carries a header row and
+validation error, 2 numerical failure (non-convergence, a failed SVD, a
+singular solve).  CSV output carries a header row and
 17 significant digits; JSON reports are flat snake_case objects embedding
 the run configuration, so every run is reproducible from its own output.
 SVG plots are hand-emitted with fixed float formatting, which keeps output
@@ -231,8 +232,7 @@ def _cmd_equilibrium(args):
 
 
 def _cmd_rate_largest(args):
-    if args.points < 1:
-        raise ValueError("--points must be at least 1")
+    special.check_count("--points", args.points, 1)
     cfg, report = _solve(args)
     x_hi = args.x_max if args.x_max is not None else 3.0 * report.b_eq
     if not (np.isfinite(x_hi) and x_hi > report.b_eq):
@@ -245,7 +245,7 @@ def _cmd_rate_largest(args):
         "objective": report.objective,
         "x": xs.tolist(),
         "j": [float(v) for v in js],
-        "run_config": _run_config(args, x_max=x_hi, points=args.points),
+        "run_config": _run_config(args, x_max=x_hi, points=int(args.points)),
     }
     _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"b_eq {report.b_eq:.6g}  kappa {report.kappa:.6g}  "
@@ -349,7 +349,7 @@ def build_parser():
     calls, so dispatch reuses it instead of rebuilding every subparser."""
     p = _Parser(prog="biortho",
                 description="numerical laboratory for biorthogonal ensembles")
-    sub = p.add_subparsers(dest="cmd")
+    sub = p.add_subparsers(dest="cmd", required=True)
 
     s = sub.add_parser("lambertw", description="principal Lambert W")
     s.add_argument("--z", required=True, help="argument RE,IM")
@@ -423,24 +423,19 @@ _HANDLERS = {
 def dispatch(argv):
     """Route argv to a subcommand; returns the process exit code."""
     parser = build_parser()
-    if not argv:
-        parser.print_usage(sys.stderr)
-        return 1
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if not args.cmd:
-        parser.print_usage(sys.stderr)
-        return 1
+    # LinAlgError is a ValueError, so numerical failures are caught first
     try:
         return _HANDLERS[args.cmd](args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def main():

@@ -9,7 +9,9 @@ theta=0, b=1 all nonzero entries are i.i.d. standard complex Gaussians.
 
 Randomness comes from counter-based Philox streams keyed by (seed, trial)
 (rng_stream, which also keys the gas sampler's chains), so each trial is
-reproducible on its own, whatever trials run before it.
+reproducible on its own, whatever trials run before it.  Seeds (>= -2**63)
+and trial indices (>= 0) are integers, numpy integers too; a negative seed
+keys its 64-bit two's complement, so -1 and 2**64 - 1 share a stream.
 Trials run one after another; BLAS threads each SVD.
 """
 
@@ -20,7 +22,7 @@ import numpy as np
 from .measures import EmpiricalMeasure
 from .special import check_count
 
-_MASK64 = 2 ** 64 - 1
+_MASK64, _SEED_LEAST = 2 ** 64 - 1, -2 ** 63
 
 
 @dataclass(frozen=True)
@@ -35,6 +37,7 @@ class EnsembleParams:
 
     def __post_init__(self):
         check_count("n", self.n, 1)
+        check_count("seed", self.seed, _SEED_LEAST)
         if not 0 <= self.theta < np.inf:
             raise ValueError("theta must be finite and >= 0")
         if not 0 < self.b < np.inf:
@@ -44,6 +47,8 @@ class EnsembleParams:
 def rng_stream(seed, stream=0):
     """Philox generator keyed by (seed, stream), the stream a matrix trial
     or a gas chain; streams are independent."""
+    check_count("seed", seed, _SEED_LEAST)
+    check_count("stream", stream)
     return np.random.Generator(
         np.random.Philox(key=np.array([int(seed) & _MASK64, int(stream) & _MASK64],
                                       dtype=np.uint64)))
@@ -51,7 +56,8 @@ def rng_stream(seed, stream=0):
 
 def sample_triangular(params, trial=0):
     """One draw of the lower-triangular matrix T; deterministic in
-    (params.seed, trial)."""
+    (params.seed, trial), trial an integer >= 0."""
+    check_count("trial", trial)
     rng = rng_stream(params.seed, trial)
     n = params.n
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -74,11 +80,7 @@ def sample_spectrum(params, trial=0):
     (eps * sigma_max)^2.  Same spectrum mathematically; trace identities
     hold to rounding.
     """
-    t = sample_triangular(params, trial)
-    try:
-        sv = np.linalg.svd(t, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"SVD failed: {exc}") from exc
+    sv = np.linalg.svd(sample_triangular(params, trial), compute_uv=False)
     return EmpiricalMeasure(sv ** 2 / params.n)
 
 

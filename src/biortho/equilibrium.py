@@ -151,8 +151,7 @@ def minimize_I(cfg, grid, tol=1e-6, max_iter=200_000, w0=None):
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    if max_iter < 0:
-        raise ValueError("max_iter must be nonnegative")
+    special.check_count("max_iter", max_iter)
     nodes = np.asarray(grid, dtype=float)
     mat, vv = _quadratic_model(nodes, cfg)
     m = nodes.size

@@ -38,9 +38,9 @@ proposals.  After abs, a new x gap within _COINCIDENCE_TOL is set to 0.
 The block's ratio table, shaped (chain, row, column), takes new / old,
 multiplied over x and g, then 1 in the own column, then its log: one log
 per pair, and log 0 = -inf where a proposal came too close.  A step is
-then one sum over row i's first n columns, one compare with thr_i, and,
-where chains accept, one masked copy of the proposal's column into the
-block's rows below.  The state is written once per block.  The identity
+then one sum over row i's first n columns, one compare with thr_i, and
+one copy of the proposal's column into the block's rows below, masked to
+the chains that accept.  The state is written once per block.  The identity
 map's g ratios would repeat its x ratios bit for bit, so it keeps no g
 channel, and its thr is halved instead, which is exact.  Extra memory is
 O(chains * _BLOCK * n).
@@ -230,15 +230,17 @@ def mcmc_sample(cfg, steps, burn_in, seed, record_every=0, chains=1):
     record_every > 0 stores every so-many post-burn-in sweeps in the
     diagnostics trace, (chains, records, n).  steps, burn_in, chains and
     record_every must be integers (numpy integers too); anything else
-    raises ValueError before any work.  Chain c draws from
-    ensemble.rng_stream(seed, c): it is bit for bit the same in every run
-    of more than c chains at that seed, and chain 0 is the single-chain
-    run.  Every chain starts from the evenly spaced configuration
-    x_i = 2(i + 1/2)/n, i = 0..n-1.
+    raises ValueError before any work, as does a seed that is not an
+    integer >= -2**63 (a negative seed keeps its 64-bit two's-complement
+    key).  Chain c draws from ensemble.rng_stream(seed, c): it is bit for
+    bit the same in every run of more than c chains at that seed, and
+    chain 0 is the single-chain run.  Every chain starts from the evenly
+    spaced configuration x_i = 2(i + 1/2)/n, i = 0..n-1.
     """
     for name, value, least in (("steps", steps, 1), ("burn_in", burn_in, 1),
                                ("chains", chains, 1), ("record_every", record_every, 0)):
         check_count(name, value, least)
+    rngs = [rng_stream(seed, c) for c in range(chains)]
     worst = check_growth(cfg)
     if not worst > 1.0:
         raise ValueError(
@@ -249,7 +251,6 @@ def mcmc_sample(cfg, steps, burn_in, seed, record_every=0, chains=1):
     # g(x) = x + 0.0 is x bit for bit on (0, inf): no g channel for it
     maps = 1 if cfg.g.kind == "identity" else 2
     rows = max(1, min(_BLOCK, n, _TABLE // (2 * maps * k * n)))
-    rngs = [rng_stream(seed, c) for c in range(k)]
     x0 = 2.0 * (np.arange(n) + 0.5) / n
     # coords, gaps and the ratio table are laid out as in the module docstring
     coords = np.zeros((maps + 3, 2, k, n + rows))
@@ -336,7 +337,7 @@ def mcmc_sample(cfg, steps, burn_in, seed, record_every=0, chains=1):
                 for row, t, acc, below in steps_in:
                     np.add.reduce(row, 1, out=sums)
                     np.greater(sums, t, out=acc)
-                    if below and np.count_nonzero(acc):
+                    if below:
                         np.copyto(below[0], below[1], where=below[2])
                 np.copyto(state_b, prop_b, where=acc_b)
             if sweep < burn_in:

@@ -49,6 +49,8 @@ class EmpiricalMeasure:
         return self.points.size
 
     def weights(self):
+        if self.n == 0:
+            raise ValueError("empty measure has no weights")
         return np.full(self.n, 1.0 / self.n)
 
 

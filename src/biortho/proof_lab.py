@@ -106,12 +106,10 @@ def build_quantile_grid(sigma, n):
     special.check_count("n", n, 2)
     a = np.asarray(sigma.quantile(np.arange(n + 1) / n), dtype=float)
     a[0], a[-1] = sigma.a, sigma.b
-    if np.any(np.diff(a) <= 0):
-        raise ValueError("quantiles are not strictly increasing")
     gap = np.diff(a)
-    c = a[:-1] + gap / 3.0
-    d = a[1:] - gap / 3.0
-    return QuantileGrid(a=a, c=c, d=d)
+    if np.any(gap <= 0):
+        raise ValueError("quantiles are not strictly increasing")
+    return QuantileGrid(a=a, c=a[:-1] + gap / 3.0, d=a[1:] - gap / 3.0)
 
 
 def check_spacing_bounds(grid, big_c):
@@ -282,6 +280,9 @@ def nice_energy(sigma, g=None, n0=256, tol=1e-6, max_doublings=4):
     the value at n0 cells is returned unchecked.
     """
     special.check_count("n0", n0, 2)
+    special.check_count("max_doublings", max_doublings)
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     prev = None
     n = n0
     for _ in range(max_doublings + 1):

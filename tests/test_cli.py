@@ -219,6 +219,15 @@ class TestSampleMatrix:
         vals = np.array([float(v) for v in row[1:]])
         assert np.all(np.diff(vals) >= 0)
 
+    def test_failed_svd_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        def failing(a, compute_uv=True):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        code, _, err = run(capsys, "sample-matrix", "--n", "4",
+                           "--out", str(tmp_path / "s.csv"))
+        assert code == 2
+        assert err.startswith("numerical failure: SVD did not converge")
+
 
 class TestSampleGas:
     def test_smoke(self, tmp_path, capsys):
@@ -295,6 +304,16 @@ class TestEquilibriumCommand:
                          "--max-iter", "1", "--points", "10", "--out", str(out))
         assert code == 2
         assert len(json.loads(out.read_text())["j"]) == 10
+
+    def test_singular_face_solve_is_numerical_failure(self, tmp_path, capsys,
+                                                       monkeypatch):
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        code, _, err = run(capsys, "equilibrium", "--grid", "40",
+                           "--out", str(tmp_path / "report.json"))
+        assert code == 2
+        assert err.startswith("numerical failure: Singular matrix")
 
     def test_equilibrium_defaults_converge(self, tmp_path, capsys):
         out = tmp_path / "report.json"

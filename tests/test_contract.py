@@ -1,12 +1,15 @@
 """The package's argument contract (special.elementwise, special.check_count):
 a scalar in gives a Python number out and an array in an array of its
-shape, and every count argument is an integer checked by name."""
+shape, and every count argument and stream key (seed, trial, stream) is
+an integer checked by name."""
+
+import os
 
 import numpy as np
 import pytest
 
-from biortho import dh_law, equilibrium, measures, proof_lab, special
-from biortho.gas_sampler import GasConfig, GFunction, Potential
+from biortho import cli, dh_law, ensemble, equilibrium, measures, proof_lab, special
+from biortho.gas_sampler import GasConfig, GFunction, Potential, mcmc_sample
 
 _CFG = GasConfig(2, GFunction("log"), Potential.linear(1.0))
 _REPORT = equilibrium.minimize_I(_CFG, equilibrium.make_grid(40, 1e-3, 4.0), tol=1e-4)
@@ -52,6 +55,15 @@ def _sigma():
     return proof_lab.uniform_nice(1.0, 2.0)
 
 
+def _rate_largest(points):
+    args = cli.build_parser().parse_args(
+        ["rate-largest", "--grid", "40", "--domain", "1e-3,4", "--out", os.devnull])
+    args.points = points
+    return cli._cmd_rate_largest(args)
+
+
+_PARAMS = ensemble.EnsembleParams(n=4, theta=0.0, b=1.0, seed=0)
+
 # (call with the count, the argument's name, a valid count)
 COUNTS = {
     "make_grid": (lambda n: equilibrium.make_grid(n, 1e-3, 4.0), "n", 5),
@@ -62,6 +74,18 @@ COUNTS = {
                     "n0", 8),
     "dh_moment_exact": (dh_law.dh_moment_exact, "k", 3),
     "moment_numeric": (_LAW.moment_numeric, "k", 3),
+    "minimize_I": (lambda m: equilibrium.minimize_I(
+        _CFG, equilibrium.make_grid(40, 1e-3, 4.0), tol=1e-4, max_iter=m), "max_iter", 5),
+    "nice_energy-max_doublings": (lambda d: proof_lab.nice_energy(
+        _sigma(), n0=8, tol=1.0, max_doublings=d), "max_doublings", 2),
+    "EnsembleParams": (lambda s: ensemble.EnsembleParams(4, 0.0, 1.0, s), "seed", 3),
+    "rng_stream-seed": (ensemble.rng_stream, "seed", 3),
+    "rng_stream-stream": (lambda k: ensemble.rng_stream(0, k), "stream", 3),
+    "sample_spectrum": (lambda k: ensemble.sample_spectrum(_PARAMS, k), "trial", 3),
+    "mcmc_sample": (lambda s: mcmc_sample(GasConfig(2, GFunction("identity"),
+                                                    Potential.linear(1.0)),
+                                          steps=1, burn_in=1, seed=s), "seed", 3),
+    "rate-largest": (_rate_largest, "--points", 5),
 }
 
 

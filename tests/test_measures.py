@@ -99,6 +99,13 @@ class TestW1:
         g = mm.GridMeasure([0.0, 1.0], [0.5, 0.5])
         assert mm.w1_distance(g, em(0.5)) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("distance", [mm.w1_distance, mm.bl_distance])
+    def test_empty_measure_rejected(self, distance):
+        with pytest.raises(ValueError, match="^empty measure"):
+            distance(em(), em(1.0))
+        with pytest.raises(ValueError, match="^empty measure"):
+            distance(em(1.0), em())
+
 
 class TestBoundedLipschitz:
     def test_identical(self):

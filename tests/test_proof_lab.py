@@ -298,6 +298,11 @@ class TestNiceEnergy:
         # nothing to compare: one resolution, returned unchecked
         assert np.isfinite(pl.nice_energy(dh_trunc, tol=1e-30, max_doublings=0))
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan])
+    def test_tol_must_be_positive(self, uniform12, tol):
+        with pytest.raises(ValueError, match="^tol must be positive"):
+            pl.nice_energy(uniform12, tol=tol)
+
     def test_uniform_constructor_validation(self):
         with pytest.raises(ValueError):
             pl.uniform_nice(2.0, 1.0)
