@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Subcommands: sample-matrix, sample-gas, dh, equilibrium, rate-largest,
-quantile-check, lambertw, verify.  Exit codes: 0 success, 1 domain or
-validation error, 2 numerical failure (non-convergence, a failed SVD, a
-singular solve).  CSV output carries a header row and
-17 significant digits; JSON reports are flat snake_case objects embedding
-the run configuration, so every run is reproducible from its own output.
+quantile-check, lambertw, verify; each subparser carries its handler.  Exit
+codes: 0 success, 1 domain or validation error, 2 numerical failure
+(non-convergence, a failed SVD, a singular solve).  Result values print
+at 17 significant digits (_g17), CSV under a header row; JSON reports are
+flat snake_case objects embedding the run configuration, so every run is
+reproducible from its own output.
 SVG plots are hand-emitted with fixed float formatting, which keeps output
 byte-identical for identical inputs.
 """
@@ -26,8 +27,21 @@ def _g17(v):
     return f"{float(v):.17g}"
 
 
+def _csv(values):
+    return ",".join(_g17(v) for v in values)
+
+
+def _json(payload):
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse that exits 1 (not 2) on usage errors, per the CLI contract."""
+    """argparse that exits 1 (not 2) on usage errors, per the CLI contract;
+    handler= is the subcommand's handler, the one dispatch calls."""
+
+    def __init__(self, *args, handler=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.set_defaults(handler=handler)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -127,7 +141,7 @@ def _cmd_lambertw(args):
         w = special.lambert_w0_cut_above(re_)
     else:
         w = special.lambert_w0_complex(complex(re_, im_))
-    print(f"{w.real:.17g},{w.imag:.17g}")
+    print(_csv((w.real, w.imag)))
     return 0
 
 
@@ -137,13 +151,9 @@ def _cmd_dh(args):
         fn = {"density": dh_law.dh_density, "cdf": law.cdf,
               "quantile": law.quantile}[args.op]
         if args.csv:
-            if args.op == "quantile":
-                grid = np.linspace(0.005, 0.995, args.grid_points)
-            else:
-                grid = np.linspace(0.0, float(np.e), args.grid_points)
-            print("x,value")
-            for xv, val in zip(grid, fn(grid)):
-                print(f"{_g17(xv)},{_g17(val)}")
+            lo, hi = (0.005, 0.995) if args.op == "quantile" else (0.0, float(np.e))
+            grid = np.linspace(lo, hi, args.grid_points)
+            print("\n".join(["x,value"] + [_csv(row) for row in zip(grid, fn(grid))]))
         else:
             if args.x is None:
                 raise ValueError("--x is required without --csv")
@@ -153,15 +163,14 @@ def _cmd_dh(args):
             raise ValueError("--k is required for dh moment")
         val = law.moment_numeric(args.k) if args.numeric else dh_law.dh_moment_exact(args.k)
         print(_g17(val))
-    elif args.op == "stieltjes":
+    else:
         re_, im_ = _parse_pair(args.z)
-        s = dh_law.dh_stieltjes(complex(re_, im_))
-        print(f"{s.real:.17g},{s.imag:.17g}")
-    elif args.op == "rtransform":
-        re_, im_ = _parse_pair(args.z)
-        # a zero imaginary part asks for the real value on the real axis
-        r = complex(dh_law.dh_r_transform(complex(re_, im_) if im_ else re_))
-        print(f"{r.real:.17g},{r.imag:.17g}")
+        if args.op == "stieltjes":
+            w = dh_law.dh_stieltjes(complex(re_, im_))
+        else:
+            # a zero imaginary part asks for the real value on the real axis
+            w = complex(dh_law.dh_r_transform(complex(re_, im_) if im_ else re_))
+        print(_csv((w.real, w.imag)))
     return 0
 
 
@@ -169,11 +178,7 @@ def _cmd_sample_matrix(args):
     params = ensemble.EnsembleParams(n=args.n, theta=args.theta, b=args.b,
                                      seed=args.seed)
     specs = ensemble.sample_spectra(params, args.trials)
-    header = "trial," + ",".join(f"x{i + 1}" for i in range(args.n))
-    lines = [header]
-    for k, s in enumerate(specs):
-        lines.append(str(k) + "," + ",".join(_g17(v) for v in s.points))
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_table(args.out, "trial", args.n, (s.points for s in specs))
     print(f"wrote {args.trials} spectra (n={args.n}) to {args.out}")
     return 0
 
@@ -183,10 +188,7 @@ def _cmd_sample_gas(args):
                     v=Potential.parse(args.V), b=args.b)
     _, diag = mcmc_sample(cfg, steps=args.steps, burn_in=args.burn_in,
                           seed=args.seed, chains=args.chains)
-    rows = [str(c) + "," + ",".join(_g17(v) for v in np.sort(x))
-            for c, x in enumerate(diag.final)]
-    header = "chain," + ",".join(f"x{i + 1}" for i in range(args.n))
-    _write_text(args.out, "\n".join([header] + rows) + "\n")
+    _write_table(args.out, "chain", args.n, (np.sort(x) for x in diag.final))
     acc = ", ".join(f"{a:.3f}" for a in diag.chain_acceptance)
     print(f"wrote {args.chains} chains to {args.out}; acceptance rates: {acc}")
     return 0
@@ -215,7 +217,7 @@ def _cmd_equilibrium(args):
     _, report = _solve(args)
     payload = report.to_dict()
     payload["run_config"] = {**_run_config(args), "plot": args.plot}
-    _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_text(args.out, _json(payload) + "\n")
     print(f"objective {report.objective:.9g}  kkt {report.kkt_residual:.3g}  "
           f"b_eq {report.b_eq:.6g}  converged {report.converged}")
     if args.plot:
@@ -239,15 +241,10 @@ def _cmd_rate_largest(args):
         raise ValueError(f"--x-max must be finite and above b_eq = {report.b_eq:.6g}")
     xs = np.linspace(report.b_eq, x_hi, args.points)
     js = equilibrium.rate_J_largest(xs, report, cfg)
-    payload = {
-        "b_eq": report.b_eq,
-        "kappa": report.kappa,
-        "objective": report.objective,
-        "x": xs.tolist(),
-        "j": [float(v) for v in js],
-        "run_config": _run_config(args, x_max=x_hi, points=int(args.points)),
-    }
-    _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    payload = {"b_eq": report.b_eq, "kappa": report.kappa, "objective": report.objective,
+               "x": xs.tolist(), "j": [float(v) for v in js],
+               "run_config": _run_config(args, x_max=x_hi, points=int(args.points))}
+    _write_text(args.out, _json(payload) + "\n")
     print(f"b_eq {report.b_eq:.6g}  kappa {report.kappa:.6g}  "
           f"J range [{js[0]:.4g}, {js[-1]:.4g}]  converged {report.converged}")
     return 0 if report.converged else 2
@@ -294,23 +291,21 @@ def _cmd_quantile_check(args):
         "bl_bound": sigma.C / args.n + 2.0 / args.m,
         "box_mass_log_rate": proof_lab.box_mass_log_rate(grid),
     }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(_json(payload))
     return 0
 
 
 def _cmd_verify(args):
     from . import acceptance
-    only = None
+    indices = [idx for idx, _, _ in acceptance.CRITERIA]
     if args.only:
         only = {int(v) for v in args.only.split(",")}
-        unknown = only - {idx for idx, _, _ in acceptance.CRITERIA}
-        if unknown:
-            raise ValueError(f"no criterion {min(unknown)}")
+        if only - set(indices):
+            raise ValueError(f"no criterion {min(only - set(indices))}")
+        indices = [idx for idx in indices if idx in only]
     print(f"{'':>4} {'criterion':<28} {'result':<6} {'time':>9}  detail")
     ok = True
-    for idx, _, _ in acceptance.CRITERIA:
-        if only and idx not in only:
-            continue
+    for idx in indices:
         r = acceptance.run_criterion(idx)
         ok &= r.passed
         status = "PASS" if r.passed else "FAIL"
@@ -325,6 +320,13 @@ def _write_text(path, text):
         raise ValueError("output path is required")
     with open(path, "w") as fh:
         fh.write(text)
+
+
+def _write_table(path, label, n, rows):
+    """CSV of numbered rows of n values under the header label,x1..xn."""
+    lines = [label + "," + ",".join(f"x{i + 1}" for i in range(n))]
+    lines += [f"{k},{_csv(row)}" for k, row in enumerate(rows)]
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 # ----------------------------------------------------------------------
@@ -351,10 +353,10 @@ def build_parser():
                 description="numerical laboratory for biorthogonal ensembles")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    s = sub.add_parser("lambertw", description="principal Lambert W")
+    s = sub.add_parser("lambertw", handler=_cmd_lambertw, description="principal Lambert W")
     s.add_argument("--z", required=True, help="argument RE,IM")
 
-    s = sub.add_parser("dh", description="Dykema-Haagerup law evaluations")
+    s = sub.add_parser("dh", handler=_cmd_dh, description="Dykema-Haagerup law evaluations")
     s.add_argument("op", choices=["density", "cdf", "quantile", "moment",
                                   "stieltjes", "rtransform"])
     s.add_argument("--x", type=float, default=None)
@@ -364,7 +366,8 @@ def build_parser():
     s.add_argument("--csv", action="store_true")
     s.add_argument("--grid-points", type=int, default=200)
 
-    s = sub.add_parser("sample-matrix", description="triangular-ensemble spectra")
+    s = sub.add_parser("sample-matrix", handler=_cmd_sample_matrix,
+                       description="triangular-ensemble spectra")
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--theta", type=float, default=0.0)
     s.add_argument("--b", type=float, default=1.0)
@@ -372,7 +375,8 @@ def build_parser():
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True)
 
-    s = sub.add_parser("sample-gas", description="Metropolis gas sampler")
+    s = sub.add_parser("sample-gas", handler=_cmd_sample_gas,
+                       description="Metropolis gas sampler")
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--g", default="id")
     s.add_argument("--V", default="linear:1")
@@ -383,41 +387,33 @@ def build_parser():
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True)
 
-    s = sub.add_parser("equilibrium", parents=[_solver_flags(tol=1e-6)],
+    s = sub.add_parser("equilibrium", handler=_cmd_equilibrium,
+                       parents=[_solver_flags(tol=1e-6)],
                        description="rate-functional minimizer")
     s.add_argument("--out", required=True)
     s.add_argument("--plot", default="")
     s.add_argument("--overlay-dh", action="store_true")
 
-    s = sub.add_parser("rate-largest", parents=[_solver_flags(tol=1e-4)],
+    s = sub.add_parser("rate-largest", handler=_cmd_rate_largest,
+                       parents=[_solver_flags(tol=1e-4)],
                        description="largest-particle rate function")
     s.add_argument("--x-max", type=float, default=None)
     s.add_argument("--points", type=int, default=20)
     s.add_argument("--out", required=True)
 
-    s = sub.add_parser("quantile-check", description="lower-bound proof diagnostics")
+    s = sub.add_parser("quantile-check", handler=_cmd_quantile_check,
+                       description="lower-bound proof diagnostics")
     s.add_argument("--dist", default="uniform:1,2")
     s.add_argument("--n", type=int, default=100)
     s.add_argument("--eps", type=float, default=0.1)
     s.add_argument("--g", default="id")
     s.add_argument("--m", type=int, default=10000)
 
-    s = sub.add_parser("verify", description="run the acceptance suite")
+    s = sub.add_parser("verify", handler=_cmd_verify,
+                       description="run the acceptance suite")
     s.add_argument("--only", default="", help="comma-separated criterion numbers")
 
     return p
-
-
-_HANDLERS = {
-    "lambertw": _cmd_lambertw,
-    "dh": _cmd_dh,
-    "sample-matrix": _cmd_sample_matrix,
-    "sample-gas": _cmd_sample_gas,
-    "equilibrium": _cmd_equilibrium,
-    "rate-largest": _cmd_rate_largest,
-    "quantile-check": _cmd_quantile_check,
-    "verify": _cmd_verify,
-}
 
 
 def dispatch(argv):
@@ -429,7 +425,7 @@ def dispatch(argv):
         return int(exc.code or 0)
     # LinAlgError is a ValueError, so numerical failures are caught first
     try:
-        return _HANDLERS[args.cmd](args)
+        return args.handler(args)
     except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -9,10 +9,10 @@ theta=0, b=1 all nonzero entries are i.i.d. standard complex Gaussians.
 
 Randomness comes from counter-based Philox streams keyed by (seed, trial)
 (rng_stream, which also keys the gas sampler's chains), so each trial is
-reproducible on its own, whatever trials run before it.  Seeds (>= -2**63)
-and trial indices (>= 0) are integers, numpy integers too; a negative seed
-keys its 64-bit two's complement, so -1 and 2**64 - 1 share a stream.
-Trials run one after another; BLAS threads each SVD.
+reproducible on its own, whatever trials run before it.  Seeds (-2**63 to
+2**64 - 1) and trial indices (0 to 2**64 - 1) are integers, numpy integers
+too; a negative seed keys its 64-bit two's complement, so -1 and 2**64 - 1
+share a stream.  Trials run one after another; BLAS threads each SVD.
 """
 
 from dataclasses import dataclass
@@ -37,7 +37,7 @@ class EnsembleParams:
 
     def __post_init__(self):
         check_count("n", self.n, 1)
-        check_count("seed", self.seed, _SEED_LEAST)
+        check_count("seed", self.seed, _SEED_LEAST, _MASK64)
         if not 0 <= self.theta < np.inf:
             raise ValueError("theta must be finite and >= 0")
         if not 0 < self.b < np.inf:
@@ -47,8 +47,8 @@ class EnsembleParams:
 def rng_stream(seed, stream=0):
     """Philox generator keyed by (seed, stream), the stream a matrix trial
     or a gas chain; streams are independent."""
-    check_count("seed", seed, _SEED_LEAST)
-    check_count("stream", stream)
+    check_count("seed", seed, _SEED_LEAST, _MASK64)
+    check_count("stream", stream, 0, _MASK64)
     return np.random.Generator(
         np.random.Philox(key=np.array([int(seed) & _MASK64, int(stream) & _MASK64],
                                       dtype=np.uint64)))
@@ -57,7 +57,7 @@ def rng_stream(seed, stream=0):
 def sample_triangular(params, trial=0):
     """One draw of the lower-triangular matrix T; deterministic in
     (params.seed, trial), trial an integer >= 0."""
-    check_count("trial", trial)
+    check_count("trial", trial, 0, _MASK64)
     rng = rng_stream(params.seed, trial)
     n = params.n
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

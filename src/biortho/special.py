@@ -59,11 +59,13 @@ def elementwise(x, dtype):
     return a, lambda out: out
 
 
-def check_count(name, value, least=0):
+def check_count(name, value, least=0, most=None):
     """ValueError naming the argument unless value is an integer (Python
-    or numpy) >= least."""
-    if not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, not {value!r}")
+    or numpy) >= least and, unless most is None, <= most."""
+    if (not isinstance(value, numbers.Integral) or value < least
+            or most is not None and value > most):
+        span = f">= {least}" if most is None else f"in [{least}, {most}]"
+        raise ValueError(f"{name} must be an integer {span}, not {value!r}")
 
 
 class LambertWError(RuntimeError):

@@ -101,3 +101,35 @@ def test_count_must_be_an_integer(name, bad):
 def test_numpy_integer_count_passes(name):
     fn, _, good = COUNTS[name]
     fn(np.int64(good))
+
+
+_GAS = GasConfig(2, GFunction("identity"), Potential.linear(1.0))
+
+# (call with the key, the argument's name): a key past 64 bits would wrap
+# onto another stream, so each raises before any draw
+KEYS = {
+    "rng_stream-seed": (ensemble.rng_stream, "seed"),
+    "rng_stream-stream": (lambda k: ensemble.rng_stream(5, k), "stream"),
+    "EnsembleParams": (lambda s: ensemble.EnsembleParams(4, 0.0, 1.0, s), "seed"),
+    "sample_spectrum": (lambda k: ensemble.sample_spectrum(_PARAMS, k), "trial"),
+    "mcmc_sample": (lambda s: mcmc_sample(_GAS, steps=1, burn_in=1, seed=s), "seed"),
+}
+
+
+@pytest.mark.parametrize("name", KEYS)
+def test_key_past_64_bits_rejected(name):
+    fn, arg = KEYS[name]
+    with pytest.raises(ValueError, match=f"^{arg} must be an integer in "):
+        fn(2 ** 64)
+    fn(np.uint64(2 ** 64 - 1))              # the largest key still draws
+
+
+@pytest.mark.parametrize("argv", [["sample-matrix", "--n", "4"],
+                                  ["sample-gas", "--n", "4", "--steps", "5", "--burn-in", "5"]])
+def test_cli_seed_past_64_bits_exits_1(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    code = cli.dispatch(argv + ["--seed", str(2 ** 64), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == "" and not out.exists()
+    assert captured.err == (f"error: seed must be an integer in [{-2 ** 63}, {2 ** 64 - 1}], "
+                            f"not {2 ** 64}\n")

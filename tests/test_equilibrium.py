@@ -1,7 +1,10 @@
 """Rate functional: discretization identities, solver, largest-particle rate."""
 
+import math
+
 import numpy as np
 import pytest
+import scipy.integrate
 
 from biortho import acceptance, dh_law, equilibrium as eq
 from biortho.gas_sampler import GasConfig, GFunction, Potential
@@ -427,3 +430,76 @@ def test_make_grid_shape():
     assert g[0] == pytest.approx(1e-4) and g[-1] == pytest.approx(4.0)
     u = eq.make_grid(50, 0.5, 2.0)
     assert np.allclose(np.diff(u), np.diff(u)[0])
+
+
+def log_partition(n, theta, b=1.0, scaled=True):
+    """log Z_n for g = x^theta, V = x and weight x^(b-1): Andreief's identity
+    and a Vandermonde in a_k = b + theta*k give
+    Z_n = n! theta^(n(n-1)/2) prod_{k<n} k! Gamma(b + theta*k).  The scaling
+    x = n*y divides Z_n by n^((1+theta)n(n-1)/2 + nb).  By the paper's LDP
+    at speed n^2, -(1/n^2) log Z_n(scaled) tends to I_min(theta), the
+    minimum of the rate function (Laplace principle)."""
+    log_z = math.lgamma(n + 1) + n * (n - 1) / 2 * math.log(theta)
+    log_z += sum(math.lgamma(k + 1) + math.lgamma(b + theta * k) for k in range(n))
+    if scaled:
+        log_z -= ((1 + theta) * n * (n - 1) / 2 + n * b) * math.log(n)
+    return log_z
+
+
+def i_min(theta):
+    """Stirling on log_partition's limit: 3(1+t)/4 - ((1+t)/2) log t."""
+    return 0.75 * (1 + theta) - 0.5 * (1 + theta) * math.log(theta)
+
+
+def kappa_exact(theta):
+    """I_min = (kappa + int V dmu)/2 with the mean (1 + theta)/2."""
+    return (1 + theta) * (1 - math.log(theta))
+
+
+class TestPowerFamilyExact:
+    """The x^theta family against its closed-form I_min and kappa; the limit
+    rests on the paper's LDP (see log_partition)."""
+
+    # theta, domain top, |objective - I_min| and |kappa - kappa(theta)| bounds:
+    # 2x the measured -1.70e-5 / -8.40e-5 / -1.88e-4 and -4.27e-5 / -5.26e-5 /
+    # -1.14e-4 at 800 nodes on [1e-8, hi], geo_fraction 0.5, tol 1e-7
+    @pytest.mark.parametrize("theta,hi,obj_tol,kappa_tol", [
+        (0.5, 4.5, 3.4e-5, 8.54e-5), (2.0, 6.0, 1.68e-4, 1.052e-4),
+        (3.0, 7.0, 3.76e-4, 2.28e-4)])
+    def test_solver_objective_and_kappa(self, theta, hi, obj_tol, kappa_tol):
+        cfg = GasConfig(2, GFunction("power", theta), Potential.linear(1.0))
+        rep = eq.minimize_I(cfg, eq.make_grid(800, 1e-8, hi, geo_fraction=0.5), tol=1e-7)
+        assert rep.converged
+        assert abs(rep.objective - i_min(theta)) <= obj_tol
+        assert abs(rep.kappa - kappa_exact(theta)) <= kappa_tol
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0, 3.0])
+    def test_partition_function_limit(self, theta):
+        # reads 0.94e-3 to 1.00e-3 below I_min at n = 10^4
+        n = 10 ** 4
+        assert abs(-log_partition(n, theta) / n ** 2 - i_min(theta)) <= 1.5e-3
+
+    @pytest.mark.parametrize("theta,z2", [(1.0, 2.0), (2.0, 8.0)])
+    def test_two_particle_partition_function(self, theta, z2):
+        # Z_2 = int int |x - y| |x^t - y^t| e^(-x-y), twice the y < x half
+        direct = 2.0 * scipy.integrate.dblquad(
+            lambda y, x: (x - y) * (x ** theta - y ** theta) * np.exp(-x - y),
+            0.0, np.inf, 0.0, lambda x: x)[0]
+        assert math.exp(log_partition(2, theta, scaled=False)) == pytest.approx(z2, rel=1e-12)
+        assert direct == pytest.approx(z2, rel=1e-8)
+
+
+def test_dh_largest_particle_rate_exact():
+    """Above the edge, J_DH(x) = U(x) - 1 with U the DH law's logarithmic
+    potential, U(x) = x - int log(x - y) dmu - int log(log x - log y) dmu; the
+    law's 200-node Fejer rule in delta (DHLaw._moment_rule) reads the mpmath
+    references within 1.9e-6.  The criterion-5 solve reads 0.0055 to 0.0220
+    below them: its grid floor 1e-4 drops mass the limit law keeps."""
+    log_y, w = dh_law.DHLaw()._moment_rule
+    xs = np.array([2.8, 3.0, 3.5, 4.0])
+    x = xs[:, None]
+    j_dh = xs - 1.0 - np.sum(w * (np.log(x - np.exp(log_y)) + np.log(np.log(x) - log_y)),
+                             axis=1)
+    assert np.max(np.abs(j_dh - [0.009737, 0.060959, 0.267879, 0.537668])) <= 5e-6
+    gap = j_dh - eq.rate_J_largest(xs, acceptance._dh_equilibrium(), dh_cfg())
+    assert np.all(gap > 0) and np.all(gap <= 0.03)
