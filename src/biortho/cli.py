@@ -299,9 +299,12 @@ def _cmd_verify(args):
     from . import acceptance
     indices = [idx for idx, _, _ in acceptance.CRITERIA]
     if args.only:
-        only = {int(v) for v in args.only.split(",")}
+        try:
+            only = {int(v) for v in args.only.split(",")}
+        except ValueError:
+            raise ValueError(f"--only takes criterion numbers, not {args.only!r}") from None
         if only - set(indices):
-            raise ValueError(f"no criterion {min(only - set(indices))}")
+            raise ValueError(f"--only: no criterion {min(only - set(indices))}")
         indices = [idx for idx in indices if idx in only]
     print(f"{'':>4} {'criterion':<28} {'result':<6} {'time':>9}  detail")
     ok = True

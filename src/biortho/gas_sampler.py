@@ -4,11 +4,12 @@ The target is the unnormalized density
 
     exp(-n sum V(x_i)) * prod x_j^(b-1) * prod_{i<j} |x_i-x_j| |g(x_i)-g(x_j)|
 
-for an increasing interaction map g and a confining potential V that grows
-faster than (b+1)*log at infinity (checked heuristically before sampling).
-Each interaction kind is one row of the table _G_KINDS, which holds g and
-log|g| as functions of (x, theta); V is one polynomial, evaluated by
-Horner's rule (`linear:a` is the polynomial 0 + a*x).
+for an increasing interaction map g and a polynomial potential V (degree
+>= 1, positive leading coefficient).  Every such gas confines, as the pair
+kernel's minorant V/2 - log(1+t)/2 - log(1+|g|)/2 goes to +inf, except
+g = exp with V of degree 1 and slope <= 1, which mcmc_sample refuses.
+_G_KINDS maps each interaction kind to g(x, theta); V is one polynomial,
+evaluated by Horner's rule (`linear:a` is the polynomial 0 + a*x).
 
 The sampler is single-coordinate Metropolis on log coordinates -- the state
 space is (0, inf)^n and a multiplicative walk is scale-free there -- with
@@ -25,25 +26,25 @@ c chains at that seed, and chain 0 is the single-chain run.
 
 Each sweep forms all proposals up front, each with its threshold
 thr = log u - pre, where pre = -n (V(x') - V(x)) + b (log x' - log x)
-carries the potential and the Jacobian (nan for x' outside (0, inf), which
-rejects).  It then walks the coordinates in blocks of at most _BLOCK rows,
-fewer where a block's gap table would pass _TABLE entries.  `coords`,
-shaped ([x, g, log x, V, log u], [proposal, state], chain, slot), holds
-proposals and state; after the n coordinate slots, the x and g state rows
-carry the current block's proposals.  At block start a copy of the block's
-centres and one subtraction of those rows fill `gaps`, shaped ([x, g],
-[new, old], chain, row, column): row i holds the gaps from x_i's proposal
-(new) and from x_i (old) to every coordinate, then to the block's own
-proposals.  After abs, a new x gap within _COINCIDENCE_TOL is set to 0.
-The block's ratio table, shaped (chain, row, column), takes new / old,
-multiplied over x and g, then 1 in the own column, then its log: one log
-per pair, and log 0 = -inf where a proposal came too close.  A step is
-then one sum over row i's first n columns, one compare with thr_i, and
-one copy of the proposal's column into the block's rows below, masked to
-the chains that accept.  The state is written once per block.  The identity
-map's g ratios would repeat its x ratios bit for bit, so it keeps no g
-channel, and its thr is halved instead, which is exact.  Extra memory is
-O(chains * _BLOCK * n).
+carries the potential and the Jacobian (nan, which rejects, for x' outside
+(0, inf) or where g(x') overflows).  It then walks the coordinates in
+blocks of at most _BLOCK rows, fewer where a block's gap table would pass
+_TABLE entries.  `coords`, shaped ([x, g, log x, V, log u], [proposal,
+state], chain, slot), holds proposals and state; after the n coordinate
+slots, the x and g state rows carry the current block's proposals.  At
+block start a copy of the block's centres and one subtraction of those rows
+fill `gaps`, shaped ([x, g], [new, old], chain, row, column): row i holds
+the gaps from x_i's proposal (new) and from x_i (old) to every coordinate,
+then to the block's own proposals.  The block's ratio table, shaped (chain,
+row, column), takes |new| / |old|, multiplied over x and g, then 1 in the
+own column, then its log: one log per pair.  A proposal on a coordinate has
+ratio 0 and log -inf, and a 0/0 ratio is nan; the compare rejects both, so
+the chain targets the density exactly.  A step is then one sum over row i's
+first n columns, one compare with thr_i, and one copy of the proposal's
+column into the block's rows below, masked to the chains that accept.  The
+state is written once per block.  The identity map's g ratios would repeat
+its x ratios bit for bit, so it keeps no g channel, and its thr is halved
+instead, which is exact.  Extra memory is O(chains * _BLOCK * n).
 """
 
 import time
@@ -56,22 +57,14 @@ from .ensemble import rng_stream
 from .measures import EmpiricalMeasure
 from .special import check_count
 
-# kind -> (g, log|g|), each a function of (x, theta); log|g| is
-# overflow-safe (log exp(x) = x without forming exp(x))
+# kind -> g, a function of (x, theta); only power reads theta
 _G_KINDS = {
-    "power": (lambda x, t: x ** t,
-              lambda x, t: t * np.log(x)),
-    "log": (lambda x, t: np.log(x),
-            lambda x, t: np.log(np.abs(np.log(x)))),
-    "asinh2": (lambda x, t: np.arcsinh(np.sqrt(x)) ** 2,
-               lambda x, t: 2.0 * np.log(np.arcsinh(np.sqrt(x)))),
-    "exp": (lambda x, t: np.exp(x),
-            lambda x, t: x + 0.0),
-    "identity": (lambda x, t: x + 0.0,
-                 lambda x, t: np.log(x)),
+    "power": lambda x, t: x ** t,
+    "log": lambda x, t: np.log(x),
+    "asinh2": lambda x, t: np.arcsinh(np.sqrt(x)) ** 2,
+    "exp": lambda x, t: np.exp(x),
+    "identity": lambda x, t: x + 0.0,
 }
-_COINCIDENCE_TOL = 1e-14
-_GROWTH_CHECKPOINTS = (1e2, 1e4, 1e6, 1e8)
 _TARGET_ACCEPT = 0.35        # burn-in adapts step sizes toward this rate
 # blocks (module docstring): 16 rows, or fewer where a gap table would pass
 # 2^16 entries (512 KB), which then falls out of cache.  Of 8 to 64 rows and
@@ -84,8 +77,8 @@ _TABLE = 2 ** 16
 
 @dataclass(frozen=True)
 class GFunction:
-    """Increasing interaction map on (0, inf), one of the _G_KINDS rows:
-    x^theta, log, asinh(sqrt)^2, exp, or identity."""
+    """Increasing interaction map on (0, inf), a _G_KINDS entry: x^theta
+    (the one kind with a theta), log, asinh(sqrt)^2, exp or identity."""
 
     kind: str
     theta: float = 1.0
@@ -95,26 +88,21 @@ class GFunction:
             raise ValueError(f"unknown interaction kind {self.kind!r}")
         if self.kind == "power" and not 0 < self.theta < np.inf:
             raise ValueError("power interaction needs finite theta > 0")
-
-    def _eval(self, column, x):
-        return _G_KINDS[self.kind][column](np.asarray(x, dtype=float), self.theta)
+        if self.kind != "power" and self.theta != 1.0:
+            raise ValueError(f"interaction {self.kind!r} takes no theta, not {self.theta!r}")
 
     def __call__(self, x):
-        return self._eval(0, x)
-
-    def log_abs(self, x):
-        """log|g(x)|, overflow-safe."""
-        return self._eval(1, x)
+        return _G_KINDS[self.kind](np.asarray(x, dtype=float), self.theta)
 
     @classmethod
     def parse(cls, text):
-        """Parse CLI syntax: power:2 | log | asinh2 | exp | id."""
-        name, _, arg = text.partition(":")
+        """Parse CLI syntax: power:THETA | power | log | asinh2 | exp | identity | id."""
+        name, colon, arg = text.partition(":")
         name = name.strip().lower()
         name = "identity" if name == "id" else name
-        if name not in _G_KINDS:
+        if name not in _G_KINDS or colon and name != "power":
             raise ValueError(f"cannot parse interaction map {text!r}")
-        return cls(name, float(arg) if name == "power" and arg else 1.0)
+        return cls(name, float(arg) if arg else 1.0)
 
     @property
     def label(self):
@@ -187,21 +175,6 @@ class GasConfig:
             raise ValueError("weight exponent b must be finite and > 0")
 
 
-def check_growth(cfg):
-    """Worst ratio of V(x) to (b+1)*log x and to (b+1)*log|g(x)| over
-    x in {1e2, 1e4, 1e6, 1e8}, a heuristic for confinement: the gas is
-    taken to confine when it exceeds 1.  A bounded or sub-unit |g| puts no
-    constraint (its ratio is +inf there)."""
-    beta = cfg.b + 1.0
-    worst = np.inf
-    for x in _GROWTH_CHECKPOINTS:
-        vx = float(cfg.v(x))
-        lg = float(cfg.g.log_abs(x))
-        worst = min(worst, vx / (beta * np.log(x)),
-                    vx / (beta * lg) if lg > 0 else np.inf)
-    return float(worst)
-
-
 @dataclass
 class McmcDiagnostics:
     """Sampler diagnostics for k >= 1 chains: the post-burn-in acceptance
@@ -225,9 +198,9 @@ def mcmc_sample(cfg, steps, burn_in, seed, record_every=0, chains=1):
 
     steps and burn_in count full sweeps (n proposals each).  Proposals are
     Gaussian steps on log coordinates; the acceptance ratio carries the
-    Jacobian term, so the chain targets the gas density itself.  Proposals
-    landing within 1e-14 of another coordinate are rejected outright.
-    record_every > 0 stores every so-many post-burn-in sweeps in the
+    Jacobian term, so the chain targets the gas density itself.  The one gas
+    that does not confine, g = exp with V of degree 1 and slope <= 1, raises
+    ValueError.  record_every > 0 stores every so-many post-burn-in sweeps in the
     diagnostics trace, (chains, records, n).  steps, burn_in, chains and
     record_every must be integers (numpy integers too); anything else
     raises ValueError before any work, as does a seed that is not an
@@ -241,13 +214,11 @@ def mcmc_sample(cfg, steps, burn_in, seed, record_every=0, chains=1):
                                ("chains", chains, 1), ("record_every", record_every, 0)):
         check_count(name, value, least)
     rngs = [rng_stream(seed, c) for c in range(chains)]
-    worst = check_growth(cfg)
-    if not worst > 1.0:
-        raise ValueError(
-            f"growth check failed (worst ratio {worst:.4g} <= 1); "
-            "the rate functional would not confine this gas")
+    if cfg.g.kind == "exp" and len(cfg.v.coeffs) == 2 and cfg.v.coeffs[1] <= 1.0:
+        raise ValueError(f"growth: V's slope {cfg.v.coeffs[1]:g} <= 1 does not outgrow "
+                         "log g(x) = x, so the gas with g = exp does not confine")
     t0 = time.perf_counter()
-    n, k, tol = cfg.n, chains, _COINCIDENCE_TOL
+    n, k = cfg.n, chains
     # g(x) = x + 0.0 is x bit for bit on (0, inf): no g channel for it
     maps = 1 if cfg.g.kind == "identity" else 2
     rows = max(1, min(_BLOCK, n, _TABLE // (2 * maps * k * n)))
@@ -260,11 +231,10 @@ def mcmc_sample(cfg, steps, burn_in, seed, record_every=0, chains=1):
     xp, yp, vp, log_u = prop[0], prop[maps], prop[maps + 1], prop[maps + 2]
     gaps = np.empty((maps, 2, k, rows, n + rows))
     table = np.empty((k, rows, n + rows))
-    near = np.empty((k, rows, n + rows), dtype=bool)
-    diff = np.empty((3, k, n))
-    # [log x, V, log u] coefficients of thr = log u - pre, halved for the
-    # identity, whose rows hold its ratios once
-    coef = np.array([-cfg.b, n, 1.0])[:, None, None] * (0.5 if maps == 1 else 1.0)
+    diff = np.empty((maps + 2, k, n))
+    # [g, log x, V, log u] coefficients of thr = log u - pre, halved for the
+    # identity, which has no g channel and whose rows hold its ratios once
+    coef = (np.array([0.0, -cfg.b, n, 1.0][2 - maps:]) * (0.5 if maps == 1 else 1.0))[:, None, None]
     normals, thr, inside = (np.empty((k, n)) for _ in range(3))
     sig = np.full((k, n), 0.5)
     log_sig = np.log(sig)
@@ -288,7 +258,7 @@ def mcmc_sample(cfg, steps, burn_in, seed, record_every=0, chains=1):
         blocks.append((coords[:maps, 1, :, n:n + b], coords[:maps, 0, :, i0:i0 + b],
                        coords[:maps, :, :, i0:i0 + b, None],
                        coords[:maps, 1, None, :, None, :n + b],
-                       gb, gb[0, 0], near[:, :b, :n + b], gb[:, 0], gb[:, 1], tab, own,
+                       gb, gb[:, 0], gb[:, 1], tab, own,
                        coords[:-1, 1, :, i0:i0 + b], coords[:-1, 0, :, i0:i0 + b],
                        accepted[None, :, i0:i0 + b], steps_in))
     trace = np.empty((k, len(range(0, steps, record_every)) if record_every else 0, n))
@@ -308,25 +278,21 @@ def mcmc_sample(cfg, steps, burn_in, seed, record_every=0, chains=1):
                 prop[1] = cfg.g(xp)
             cfg.v(xp, out=vp)
             # thr = log u - pre, pre = -n (V(x') - V(x)) + b (log x' - log x)
-            # (the state's log u is 0), times x'/x': 1 inside (0, inf) and
-            # nan outside, where the compare rejects
-            np.subtract(prop[maps:], state[maps:], out=diff)
+            # (the state's log u is 0), plus 0 (g(x') - g(x)), nan where g(x')
+            # overflows, times x'/x': 1 inside (0, inf) and nan outside; the
+            # compare rejects nan
+            np.subtract(prop[1:], state[1:], out=diff)
             np.multiply(diff, coef, out=diff)
             np.add.reduce(diff, 0, out=thr)
             np.divide(xp, xp, out=inside)
             np.multiply(thr, inside, out=thr)
-            for (slots, block_prop, centres, columns, gb, new_x, near_b, new, old, tab,
-                 own, state_b, prop_b, acc_b, steps_in) in blocks:
+            for (slots, block_prop, centres, columns, gb, new, old, tab, own,
+                 state_b, prop_b, acc_b, steps_in) in blocks:
                 np.copyto(slots, block_prop)
                 # two passes: numpy's subtract with a stride-0 operand is slower
                 np.copyto(gb, centres)
                 np.subtract(gb, columns, out=gb)
                 np.abs(gb, out=gb)
-                # ratio 0, log -inf: a proposal within tol of a coordinate
-                # rejects (every block has such gaps: row r to its own
-                # proposal's column, which no step reads, so no test first)
-                np.less_equal(new_x, tol, out=near_b)
-                np.copyto(new_x, 0.0, where=near_b)
                 if maps == 2:
                     np.divide(new, old, out=new)
                     np.multiply(new[0], new[1], out=tab)

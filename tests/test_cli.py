@@ -101,6 +101,10 @@ class TestDispatch:
         ("equilibrium", "--domain", "1,2,3"),
         ("equilibrium", "--domain", "1"),
         ("quantile-check", "--dist", "uniform:1"),
+        ("sample-gas", "--n", "4", "--g", "log:3", "--steps", "5", "--burn-in", "5"),
+        ("sample-gas", "--n", "4", "--g", "identity:x", "--steps", "5", "--burn-in", "5"),
+        ("equilibrium", "--grid", "30", "--g", "exp:1"),
+        ("quantile-check", "--g", "id:2"),
     ])
     def test_invalid_request_is_validation_error(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
@@ -478,11 +482,11 @@ def test_verify_prints_each_criterion_once(capsys):
     assert "lambert-w-roundtrip" not in out
 
 
-@pytest.mark.parametrize("only", ["11", "0", "1,11"])
+@pytest.mark.parametrize("only", ["11", "0", "1,11", "1,x", "1,,2"])
 def test_verify_rejects_unknown_criterion(capsys, only):
     code, out, err = run(capsys, "verify", "--only", only)
     assert code == 1 and out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert len(err.splitlines()) == 1 and err.startswith("error: --only")
 
 
 def test_runtime_imports_no_scipy():

@@ -1,5 +1,7 @@
 """Triangular-matrix ensemble: sampler distributions, spectra, invariants."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.stats import kstest
@@ -116,6 +118,35 @@ class TestSampleSpectrum:
         means = np.array([en.sample_spectrum(p, k).points.mean() for k in range(200)])
         z = (means.mean() - 1.0) / (means.std(ddof=1) / np.sqrt(means.size))
         assert abs(z) <= 4.0
+
+    @staticmethod
+    def exact_second_moment(n, theta, b):
+        """E tr(S^2)/n for S = TT*/n, exactly, from the entry moments:
+        E|z|^2 = 1, E|z|^4 = 2 below the diagonal and c_j, c_j (c_j + 1) on
+        it.  With m2, m4 those moments of T_ij,
+        E tr((TT*)^2) = sum_i [sum_j m4_ij + sum_{j != j'} m2_ij m2_ij']
+                        + sum_{i != k} sum_{j <= min(i, k)} m2_ij m2_kj,
+        since distinct entries are independent with uniform phase."""
+        c = [Fraction(theta) * j + Fraction(b) for j in range(n)]
+        m2 = [[c[j] if i == j else 1 for j in range(i + 1)] for i in range(n)]
+        m4 = [[c[j] * (c[j] + 1) if i == j else 2 for j in range(i + 1)] for i in range(n)]
+        total = Fraction(0)
+        for i in range(n):
+            total += sum(m4[i]) + sum(m2[i]) ** 2 - sum(v * v for v in m2[i])
+            for k in range(n):
+                if k != i:
+                    total += sum(u * v for u, v in zip(m2[i], m2[k]))
+        return total / n ** 3
+
+    @pytest.mark.parametrize("theta, exact", [(1, 2), (2, Fraction(63, 16))])
+    def test_exact_second_moment(self, theta, exact):
+        # 2 is the LUE value at theta = 1, and 63/16 = 3.9375 at theta = 2;
+        # 50 pooled n = 32 spectra at seed 5 read z = +0.58 and +0.38
+        assert self.exact_second_moment(32, theta, 1) == exact
+        p = params(n=32, theta=float(theta), b=1.0, seed=5)
+        m2 = np.array([np.mean(en.sample_spectrum(p, k).points ** 2) for k in range(50)])
+        z = (m2.mean() - float(exact)) / (m2.std(ddof=1) / np.sqrt(m2.size))
+        assert abs(z) <= 3.0
 
     def test_second_moment_near_dh(self):
         p = params(n=128, seed=12)

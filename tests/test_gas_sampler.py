@@ -1,4 +1,4 @@
-"""Gas configuration, growth check, Metropolis sampler."""
+"""Gas configuration, confinement rule, Metropolis sampler."""
 
 import json
 from pathlib import Path
@@ -8,8 +8,7 @@ import pytest
 
 from biortho import ensemble as en
 from biortho import gas_sampler
-from biortho.gas_sampler import (GasConfig, GFunction, Potential, check_growth,
-                                 mcmc_sample)
+from biortho.gas_sampler import GasConfig, GFunction, Potential, mcmc_sample
 from biortho.measures import EmpiricalMeasure, w1_distance
 
 # Runs that cross the sampler's block boundaries, as hex floats: g = log,
@@ -19,7 +18,7 @@ BLOCK_PINS = json.loads(Path(__file__).with_name("gas_block_pins.json").read_tex
 
 
 # g for the reference sampler, written out rather than read from
-# gas_sampler._G_KINDS, so that a wrong column there shows
+# gas_sampler._G_KINDS, so that a wrong entry there shows
 REFERENCE_MAPS = {"identity": lambda x: x + 0.0, "log": np.log,
                   "power:2": lambda x: x ** 2.0}
 
@@ -29,9 +28,10 @@ def reference_sample(cfg, g, steps, burn_in, seed, chains):
     coordinate at a time: the proposals come from the numpy calls
     mcmc_sample makes on chain c's stream, and each decision from the
     direct log-density difference -n dV + b dlog x + sum_j dlog|x - x_j|
-    + sum_j dlog|g - g_j|.  Returns final states (chains, n) and
-    post-burn-in acceptance counts (chains,)."""
-    n, b, tol = cfg.n, cfg.b, gas_sampler._COINCIDENCE_TOL
+    + sum_j dlog|g - g_j| (-inf for a proposal on a coordinate, which
+    rejects).  Returns final states (chains, n) and post-burn-in acceptance
+    counts (chains,)."""
+    n, b = cfg.n, cfg.b
     finals, counts = [], []
     for c in range(chains):
         rng = en.rng_stream(seed, c)
@@ -48,8 +48,7 @@ def reference_sample(cfg, g, steps, burn_in, seed, chains):
             accepted = np.zeros(n, dtype=bool)
             for i in range(n):
                 others = np.arange(n) != i
-                near = np.abs(xp[i] - x[others]) <= tol
-                if not 0.0 < xp[i] < np.inf or near.any():
+                if not 0.0 < xp[i] < np.inf:
                     continue
                 delta = (-n * (vp[i] - v[i]) + b * (log_xp[i] - log_x[i])
                          + np.sum(np.log(np.abs(xp[i] - x[others]))
@@ -82,6 +81,18 @@ class TestGFunction:
         with pytest.raises(ValueError, match="finite"):
             GFunction("power", np.inf)
 
+    @pytest.mark.parametrize("text", ["log:3", "id:2", "exp:1", "identity:x", "log:"])
+    def test_only_power_takes_an_argument(self, text):
+        with pytest.raises(ValueError, match=f"cannot parse interaction map '{text}'"):
+            GFunction.parse(text)
+
+    def test_only_power_takes_a_theta(self):
+        for kind in ("log", "asinh2", "exp", "identity"):
+            with pytest.raises(ValueError, match=f"'{kind}' takes no theta, not 3.0"):
+                GFunction(kind, 3.0)
+            assert GFunction(kind, 1.0) == GFunction(kind) == GFunction.parse(kind)
+        assert GFunction.parse("power") == GFunction("power", 1.0)
+
     def test_increasing(self):
         x = np.linspace(0.01, 20.0, 500)
         for g in (GFunction("power", 0.5), GFunction("log"), GFunction("asinh2"),
@@ -92,13 +103,6 @@ class TestGFunction:
         x = 2.0
         g = GFunction("asinh2")
         assert g(x) == pytest.approx(np.arcsinh(np.sqrt(x)) ** 2)
-
-    def test_log_abs_matches_log_of_g(self):
-        x = np.array([2.0, 5.0, 50.0])
-        for g in (GFunction("power", 2.0), GFunction("log"), GFunction("asinh2"),
-                  GFunction("identity")):
-            assert np.allclose(g.log_abs(x), np.log(np.abs(g(x))))
-        assert np.allclose(GFunction("exp").log_abs(x), x)
 
 
 class TestPotential:
@@ -159,19 +163,43 @@ def test_counts_accept_numpy_integers():
     assert [s.points.size for s in specs] == [3, 3]
 
 
-class TestGrowthCheck:
-    def test_log_gas_passes(self):
-        cfg = GasConfig(8, GFunction("log"), Potential.linear(1.0), 1.0)
-        assert check_growth(cfg) > 1.0
+class TestConfinementRule:
+    # the pair kernel's minorant V/2 - log(1+t)/2 - log(1+|g|)/2 goes to
+    # +inf unless g = exp and V = c0 + a*x with a <= 1; b plays no part
 
-    def test_exp_linear_fails(self):
-        # log g(x) = x, so V/( (b+1) log g ) = 1/(b+1) < 1 identically
-        cfg = GasConfig(8, GFunction("exp"), Potential.linear(1.0), 1.0)
-        assert check_growth(cfg) == pytest.approx(0.5, abs=1e-12)
+    @pytest.mark.parametrize("v", ["linear:1", "linear:0.5", "poly:3,1"])
+    @pytest.mark.parametrize("b", [0.5, 30.0])
+    def test_exp_with_slope_at_most_one_is_refused(self, v, b):
+        cfg = GasConfig(4, GFunction("exp"), Potential.parse(v), b)
+        with pytest.raises(ValueError, match="^growth: "):
+            mcmc_sample(cfg, steps=1, burn_in=1, seed=0)
 
-    def test_exp_quadratic_passes(self):
-        cfg = GasConfig(8, GFunction("exp"), Potential.polynomial([0, 0, 1]), 1.0)
-        assert check_growth(cfg) > 1.0
+    @pytest.mark.parametrize("g, v", [("exp", "linear:1.5"), ("exp", "poly:0,0,1"),
+                                      ("exp", "poly:0,0.5,0.01"), ("log", "linear:0.05"),
+                                      ("power:3", "linear:0.2"), ("id", "linear:0.05")])
+    @pytest.mark.parametrize("b", [0.5, 30.0])
+    def test_every_other_gas_is_sampled(self, g, v, b):
+        # at b = 30 the exp chain proposes x' > 709.8, where g overflows; such
+        # a proposal must reject, since with its gaps inf every later ratio
+        # is inf/inf and the chain would freeze
+        cfg = GasConfig(4, GFunction.parse(g), Potential.parse(v), b)
+        _, diag = mcmc_sample(cfg, steps=20, burn_in=20, seed=0)
+        assert diag.acceptance_rate > 0.0 and np.all(np.isfinite(cfg.g(diag.final)))
+
+    @pytest.mark.parametrize("a, b, seed", [(0.05, 1.0, 4), (1.0, 30.0, 5)])
+    def test_newly_admitted_gas_has_the_lue_mean(self, a, b, seed):
+        # g = identity, V = a*x, weight x^(b-1): the law is LUE with
+        # parameter b - 1 scaled by 1/(n a), so the mean particle is exactly
+        # (n + b - 1)/(n a).  20 independent chains give the standard error;
+        # the pinned seeds read z = -0.55 and -0.46, the other seed (5, then
+        # 4) z = -0.31 and -0.12
+        n = 8
+        cfg = GasConfig(n, GFunction("identity"), Potential.linear(a), b)
+        _, diag = mcmc_sample(cfg, steps=2000, burn_in=1000, seed=seed,
+                              record_every=10, chains=20)
+        means = diag.trace.mean(axis=(1, 2))
+        z = (means.mean() - (n + b - 1) / (n * a)) / (means.std(ddof=1) / np.sqrt(means.size))
+        assert abs(z) <= 3.0
 
 
 class TestMcmc:
@@ -198,7 +226,7 @@ class TestMcmc:
     # one gap subtraction.  numpy's exp and log may differ in the last bit
     # on another SIMD target, so a mismatch on a different CPU or numpy
     # build need not mean a change in the sampler.  exp runs on V = x + x^2,
-    # since linear V fails its growth check.
+    # since V = x does not confine it.
     PARITY_PINS = {
         "log": (["0x1.9f498803d9d2cp-19", "0x1.a3d5eb3ab41d1p-8", "0x1.1ecd4c6ed43ecp-4",
                  "0x1.3410e87d79a47p-3", "0x1.9b64da752be3dp-3", "0x1.9e54745e958f2p-2",
@@ -262,28 +290,14 @@ class TestMcmc:
                            chains=pin["chains"])[1]
 
     @pytest.mark.parametrize("name", sorted(BLOCK_PINS))
-    def test_block_pin(self, name, monkeypatch):
+    def test_block_pin(self, name):
         # n = 37 spans three blocks, the last one ragged; n = 1 is a single
-        # one-row block; tol_1e-2 rejects proposals that come within 0.01 of
-        # a coordinate, some of them one moved earlier in the same block
+        # one-row block
         pin = BLOCK_PINS[name]
-        if pin["tol"] is not None:
-            monkeypatch.setattr(gas_sampler, "_COINCIDENCE_TOL", pin["tol"])
         diag = self._block_pin_run(pin)
         assert [[float(v).hex() for v in row] for row in diag.final] == pin["final"]
         assert [[float(v).hex() for v in row] for row in diag.step_sizes] == pin["step_sizes"]
         assert float(diag.acceptance_rate).hex() == pin["acceptance_rate"]
-
-    def test_block_pin_tolerance_bites(self, monkeypatch):
-        # the middle tolerance rejects some proposals but not all: the run
-        # accepts, and it leaves the run at the default tolerance
-        pin = BLOCK_PINS["tol_1e-2"]
-        default = self._block_pin_run(pin)
-        monkeypatch.setattr(gas_sampler, "_COINCIDENCE_TOL", pin["tol"])
-        diag = self._block_pin_run(pin)
-        assert diag.acceptance_rate > 0.0
-        assert diag.acceptance_rate < default.acceptance_rate
-        assert not np.array_equal(diag.final, default.final)
 
     @pytest.mark.parametrize("record_every", [-2, -1, 2.5, 2.0, "3", None])
     def test_record_every_must_be_a_nonnegative_integer(self, record_every):
@@ -337,10 +351,10 @@ class TestMcmc:
         _, d12 = mcmc_sample(cfg, steps=50, burn_in=30, seed=12, chains=3)
         assert not any(np.array_equal(a, b) for a in d11.final for b in d12.final)
 
-    def test_coincidence_rejection(self, monkeypatch):
-        # with every gap "within tolerance" of another coordinate, each
-        # proposal is rejected and the chains never leave the start
-        monkeypatch.setattr(gas_sampler, "_COINCIDENCE_TOL", 1e300)
+    def test_nan_ratio_rejects(self, monkeypatch):
+        # a map that collapses every g gap to 0 makes every ratio 0/0 = nan,
+        # which the compare rejects: the chains never leave the start
+        monkeypatch.setitem(gas_sampler._G_KINDS, "log", lambda x, t: x * 0.0)
         cfg = GasConfig(4, GFunction("log"), Potential.linear(1.0), 1.0)
         _, diag = mcmc_sample(cfg, steps=20, burn_in=10, seed=3, chains=2)
         assert diag.acceptance_rate == 0.0

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from biortho import cli
+from biortho import cli, gas_sampler
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -59,3 +59,22 @@ def test_uniform_quantile_check_reports_as_stated(capsys):
     assert _line(argv).endswith("ratios_evaluated: 27595")
     assert cli.dispatch(argv) == 0
     assert json.loads(capsys.readouterr().out)["ratios_evaluated"] == 27595
+
+
+def test_readme_lists_every_interaction_map():
+    # README's map names, aliases included, are exactly those GFunction.parse
+    # accepts among the kinds, their prefixes and README's own names
+    text = README.read_text()
+    para = text[text.index("Interaction maps:"):text.index("Potentials are")]
+    names = {m.partition(":")[0] for m in re.findall(r"`([^`]+)`", para)}
+
+    def parses(name):
+        try:
+            return gas_sampler.GFunction.parse(name).kind
+        except ValueError:
+            return None
+
+    kinds = set(gas_sampler._G_KINDS)
+    candidates = names | {k[:j] for k in kinds for j in range(1, len(k) + 1)}
+    assert {c for c in candidates if parses(c)} == names
+    assert {parses(name) for name in names} == kinds
