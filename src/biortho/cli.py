@@ -36,8 +36,9 @@ def _json(payload):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that exits 1 (not 2) on usage errors, per the CLI contract;
-    handler= is the subcommand's handler, the one dispatch calls."""
+    """argparse that exits 1 (not 2) on usage errors, per the CLI contract,
+    after the usage and argparse's own error line; handler= is the
+    subcommand's handler, the one dispatch calls."""
 
     def __init__(self, *args, handler=None, **kwargs):
         super().__init__(*args, **kwargs)
@@ -45,15 +46,16 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(1)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _parse_pair(text):
     """The two floats of "A,B"."""
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"expected A,B, got {text!r}")
-    return float(parts[0]), float(parts[1])
+    try:
+        a, b = map(float, text.split(","))
+    except ValueError:
+        raise ValueError(f"expected A,B, got {text!r}") from None
+    return a, b
 
 
 # ----------------------------------------------------------------------
@@ -197,8 +199,9 @@ def _cmd_sample_gas(args):
 def _solve(args):
     """(cfg, report): the rate-functional solve the shared solver flags ask
     for."""
-    cfg = GasConfig(n=max(args.grid, 2), g=GFunction.parse(args.g),
-                    v=Potential.parse(args.V))
+    special.check_count("--grid", args.grid, 2)
+    # the rate functional reads no particle count; n = 2 as in acceptance._dh_config
+    cfg = GasConfig(n=2, g=GFunction.parse(args.g), v=Potential.parse(args.V))
     grid = equilibrium.make_grid(args.grid, *_parse_pair(args.domain))
     report = equilibrium.minimize_I(cfg, grid, tol=args.tol, max_iter=args.max_iter)
     return cfg, report
@@ -256,7 +259,11 @@ def _cmd_quantile_check(args):
         sigma = proof_lab.uniform_nice(*_parse_pair(spec_arg))
         e_half = 0.5 * sigma.analytic_energy
     elif name == "dh-trunc":
-        sigma = proof_lab.truncated_dh(float(spec_arg))
+        try:
+            lo = float(spec_arg)
+        except ValueError:
+            raise ValueError(f"cannot parse distribution {args.dist!r}") from None
+        sigma = proof_lab.truncated_dh(lo)
         e_half = 0.5 * proof_lab.nice_energy(sigma, n0=512, tol=1e-5,
                                              max_doublings=2)
     else:

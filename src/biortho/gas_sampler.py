@@ -7,7 +7,8 @@ The target is the unnormalized density
 for an increasing interaction map g and a polynomial potential V (degree
 >= 1, positive leading coefficient).  Every such gas confines, as the pair
 kernel's minorant V/2 - log(1+t)/2 - log(1+|g|)/2 goes to +inf, except
-g = exp with V of degree 1 and slope <= 1, which mcmc_sample refuses.
+g = exp with V of degree 1 and slope <= 1, which GasConfig refuses, so
+neither the sampler nor the equilibrium solver ever sees it.
 _G_KINDS maps each interaction kind to g(x, theta); V is one polynomial,
 evaluated by Horner's rule (`linear:a` is the polynomial 0 + a*x).
 
@@ -96,13 +97,18 @@ class GFunction:
 
     @classmethod
     def parse(cls, text):
-        """Parse CLI syntax: power:THETA | power | log | asinh2 | exp | identity | id."""
+        """Parse CLI syntax: power:THETA | power | log | asinh2 | exp | identity | id;
+        anything else raises a ValueError quoting the whole text."""
         name, colon, arg = text.partition(":")
         name = name.strip().lower()
         name = "identity" if name == "id" else name
-        if name not in _G_KINDS or colon and name != "power":
-            raise ValueError(f"cannot parse interaction map {text!r}")
-        return cls(name, float(arg) if arg else 1.0)
+        try:
+            if name not in _G_KINDS or colon and name != "power":
+                raise ValueError
+            theta = float(arg) if colon else 1.0
+        except ValueError:
+            raise ValueError(f"cannot parse interaction map {text!r}") from None
+        return cls(name, theta)
 
     @property
     def label(self):
@@ -149,20 +155,27 @@ class Potential:
 
     @classmethod
     def parse(cls, text):
-        """Parse CLI syntax: linear:a (= poly:0,a) | poly:c0,c1,..."""
-        name, _, arg = text.partition(":")
+        """Parse CLI syntax: linear:a (= poly:0,a) | linear | poly:c0,c1,...;
+        anything else raises a ValueError quoting the whole text."""
+        name, colon, arg = text.partition(":")
         name = name.strip().lower()
-        if name == "linear":
-            return cls.linear(float(arg) if arg else 1.0)
-        if name in ("poly", "polynomial"):
-            return cls.polynomial([float(c) for c in arg.split(",")])
-        raise ValueError(f"cannot parse potential {text!r}")
+        try:
+            if name == "linear":
+                coeffs = [0.0, float(arg) if colon else 1.0]
+            elif name in ("poly", "polynomial"):
+                coeffs = [float(c) for c in arg.split(",")]
+            else:
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"cannot parse potential {text!r}") from None
+        return cls.polynomial(coeffs)
 
 
 @dataclass(frozen=True)
 class GasConfig:
     """Full gas specification: particle count, interaction map, potential,
-    weight exponent."""
+    weight exponent.  The one gas that does not confine, g = exp with V of
+    degree 1 and slope <= 1, raises a ValueError starting "growth: "."""
 
     n: int
     g: GFunction
@@ -173,6 +186,9 @@ class GasConfig:
         check_count("n", self.n, 1)
         if not 0 < self.b < np.inf:
             raise ValueError("weight exponent b must be finite and > 0")
+        if self.g.kind == "exp" and len(self.v.coeffs) == 2 and self.v.coeffs[1] <= 1.0:
+            raise ValueError(f"growth: V's slope {self.v.coeffs[1]:g} <= 1 does not outgrow "
+                             "log g(x) = x, so the gas with g = exp does not confine")
 
 
 @dataclass
@@ -198,25 +214,22 @@ def mcmc_sample(cfg, steps, burn_in, seed, record_every=0, chains=1):
 
     steps and burn_in count full sweeps (n proposals each).  Proposals are
     Gaussian steps on log coordinates; the acceptance ratio carries the
-    Jacobian term, so the chain targets the gas density itself.  The one gas
-    that does not confine, g = exp with V of degree 1 and slope <= 1, raises
-    ValueError.  record_every > 0 stores every so-many post-burn-in sweeps in the
-    diagnostics trace, (chains, records, n).  steps, burn_in, chains and
-    record_every must be integers (numpy integers too); anything else
-    raises ValueError before any work, as does a seed that is not an
-    integer >= -2**63 (a negative seed keeps its 64-bit two's-complement
-    key).  Chain c draws from ensemble.rng_stream(seed, c): it is bit for
-    bit the same in every run of more than c chains at that seed, and
-    chain 0 is the single-chain run.  Every chain starts from the evenly
-    spaced configuration x_i = 2(i + 1/2)/n, i = 0..n-1.
+    Jacobian term, so the chain targets the gas density itself, which
+    confines for every GasConfig.  record_every > 0 stores every so-many
+    post-burn-in sweeps in the diagnostics trace, (chains, records, n).
+    steps, burn_in, chains and record_every must be integers (numpy
+    integers too); anything else raises ValueError before any work, as
+    does a seed that is not an integer >= -2**63 (a negative seed keeps its
+    64-bit two's-complement key).  Chain c draws from
+    ensemble.rng_stream(seed, c): it is bit for bit the same in every run
+    of more than c chains at that seed, and chain 0 is the single-chain
+    run.  Every chain starts from the evenly spaced configuration
+    x_i = 2(i + 1/2)/n, i = 0..n-1.
     """
     for name, value, least in (("steps", steps, 1), ("burn_in", burn_in, 1),
                                ("chains", chains, 1), ("record_every", record_every, 0)):
         check_count(name, value, least)
     rngs = [rng_stream(seed, c) for c in range(chains)]
-    if cfg.g.kind == "exp" and len(cfg.v.coeffs) == 2 and cfg.v.coeffs[1] <= 1.0:
-        raise ValueError(f"growth: V's slope {cfg.v.coeffs[1]:g} <= 1 does not outgrow "
-                         "log g(x) = x, so the gas with g = exp does not confine")
     t0 = time.perf_counter()
     n, k = cfg.n, chains
     # g(x) = x + 0.0 is x bit for bit on (0, inf): no g channel for it

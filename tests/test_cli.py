@@ -105,6 +105,16 @@ class TestDispatch:
         ("sample-gas", "--n", "4", "--g", "identity:x", "--steps", "5", "--burn-in", "5"),
         ("equilibrium", "--grid", "30", "--g", "exp:1"),
         ("quantile-check", "--g", "id:2"),
+        ("sample-gas", "--n", "4", "--g", "power:x", "--steps", "5", "--burn-in", "5"),
+        ("sample-gas", "--n", "4", "--g", "power:", "--steps", "5", "--burn-in", "5"),
+        ("sample-gas", "--n", "4", "--V", "poly:", "--steps", "5", "--burn-in", "5"),
+        ("equilibrium", "--grid", "30", "--V", "linear:1,2"),
+        ("equilibrium", "--grid", "30", "--V", "linear:"),
+        ("quantile-check", "--dist", "dh-trunc:x"),
+        ("quantile-check", "--dist", "uniform:1,x"),
+        ("equilibrium", "--grid", "30", "--domain", "1,x"),
+        ("equilibrium", "--grid", "1"),
+        ("rate-largest", "--grid", "1"),
     ])
     def test_invalid_request_is_validation_error(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
@@ -122,13 +132,43 @@ class TestDispatch:
         assert code == 1 and stdout == "" and not out.exists()
         assert err.startswith("usage: ")
 
+    @pytest.mark.parametrize("argv,line", [
+        (("sample-matrix", "--n", "x", "--out", "unused"),
+         "biortho sample-matrix: error: argument --n: invalid int value: 'x'"),
+        (("equilibrium",), "biortho equilibrium: error: the following arguments "
+                           "are required: --out"),
+        (("frobnicate",), "biortho: error: argument cmd: invalid choice: 'frobnicate'"),
+    ])
+    def test_usage_error_says_why(self, capsys, argv, line):
+        # the usage block, then argparse's own line naming the cause
+        code, stdout, err = run(capsys, *argv)
+        assert code == 1 and stdout == "" and err.startswith("usage: biortho")
+        assert err.splitlines()[-1].startswith(line)
+
     @pytest.mark.parametrize("argv,text", [
         (("equilibrium", "--domain", "1,2,3", "--out", "unused"), "1,2,3"),
         (("quantile-check", "--dist", "uniform:1"), "1"),
         (("lambertw", "--z", "1"), "1"),
+        (("lambertw", "--z", "1,x"), "1,x"),
+        (("equilibrium", "--domain", "1,x", "--out", "unused"), "1,x"),
+        (("quantile-check", "--dist", "uniform:1,x"), "1,x"),
     ])
     def test_pair_error_names_the_input(self, capsys, argv, text):
         assert run(capsys, *argv) == (1, "", f"error: expected A,B, got {text!r}\n")
+
+    @pytest.mark.parametrize("argv,message", [
+        (("sample-gas", "--n", "4", "--g", "power:x"), "cannot parse interaction map 'power:x'"),
+        (("sample-gas", "--n", "4", "--g", "power:"), "cannot parse interaction map 'power:'"),
+        (("sample-gas", "--n", "4", "--V", "poly:"), "cannot parse potential 'poly:'"),
+        (("equilibrium", "--V", "linear:1,2"), "cannot parse potential 'linear:1,2'"),
+        (("rate-largest", "--V", "linear:"), "cannot parse potential 'linear:'"),
+        (("quantile-check", "--dist", "dh-trunc:x"), "cannot parse distribution 'dh-trunc:x'"),
+        (("equilibrium", "--grid", "1"), "--grid must be an integer >= 2, not 1"),
+    ])
+    def test_flag_error_quotes_the_input(self, tmp_path, capsys, argv, message):
+        if argv[0] != "quantile-check":
+            argv += ("--out", str(tmp_path / "out"))
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
     def test_cdf_at_nan_prints_nan(self, capsys):
         assert run(capsys, "dh", "cdf", "--x", "nan") == (0, "nan\n", "")
@@ -271,6 +311,15 @@ class TestSampleGas:
 
 
 class TestEquilibriumCommand:
+    @pytest.mark.parametrize("cmd", ["equilibrium", "rate-largest"])
+    def test_solver_refuses_the_non_confining_gas(self, tmp_path, capsys, cmd):
+        # the rate functional has no minimizer there: GasConfig refuses it
+        out = tmp_path / "out.json"
+        code, stdout, err = run(capsys, cmd, "--g", "exp", "--V", "linear:1",
+                                "--grid", "60", "--out", str(out))
+        assert code == 1 and stdout == "" and not out.exists()
+        assert len(err.splitlines()) == 1 and err.startswith("error: growth: ")
+
     def test_report_roundtrip(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         plot = tmp_path / "plot.svg"
