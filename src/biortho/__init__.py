@@ -10,12 +10,13 @@ large-deviations lower bound (`proof_lab`).
 """
 
 from .measures import EmpiricalMeasure, GridMeasure
-from .gas_sampler import GasConfig, GFunction, Potential
+from .gas_sampler import GasConfig, GasModel, GFunction, Potential
 
 __all__ = [
     "EmpiricalMeasure",
     "GridMeasure",
     "GasConfig",
+    "GasModel",
     "GFunction",
     "Potential",
 ]

@@ -16,17 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dh_law, ensemble, equilibrium, proof_lab, special
-from .gas_sampler import GasConfig, GFunction, Potential, mcmc_sample
+from .gas_sampler import GasConfig, GasModel, GFunction, Potential, mcmc_sample
 from .measures import (EmpiricalMeasure, GridMeasure, pair_kernel_f,
                        pair_kernel_lower, voronoi_cell_edges, w1_distance)
 
-
-def _dh_config():
-    return GasConfig(n=2, g=GFunction("log"), v=Potential.linear(1.0), b=1.0)
-
-
-def _id_config():
-    return GasConfig(n=2, g=GFunction("identity"), v=Potential.linear(1.0), b=1.0)
+# the rate functional's (g, V): the DH law's (criteria 5, 8-10), theta = 1's (6)
+_DH = GasModel(GFunction("log"), Potential.linear(1.0))
+_ID = GasModel(GFunction("identity"), Potential.linear(1.0))
 
 
 @functools.cache
@@ -39,7 +35,7 @@ def _dh_discretization(m=2000):
 def _dh_equilibrium():
     """Criterion-5 solve: 400 nodes on [1e-4, 4], tol 1e-4."""
     grid = equilibrium.make_grid(400, 1e-4, 4.0)
-    return equilibrium.minimize_I(_dh_config(), grid, tol=1e-4, max_iter=200_000)
+    return equilibrium.minimize_I(_DH, grid, tol=1e-4, max_iter=200_000)
 
 
 @functools.cache
@@ -50,14 +46,14 @@ def _dh_equilibrium_deep():
     so the consistency comparison uses a grid reaching 1e-8, whose objective
     0.7906 is still ~0.04 above it."""
     grid = equilibrium.make_grid(600, 1e-8, 4.0, geo_fraction=0.5)
-    return equilibrium.minimize_I(_dh_config(), grid, tol=1e-4, max_iter=200_000)
+    return equilibrium.minimize_I(_DH, grid, tol=1e-4, max_iter=200_000)
 
 
 @functools.cache
 def _id_equilibrium():
     """Criterion-6 solve: identity g, 400 nodes on [1e-4, 6], tol 1e-4."""
     grid = equilibrium.make_grid(400, 1e-4, 6.0)
-    return equilibrium.minimize_I(_id_config(), grid, tol=1e-4, max_iter=200_000)
+    return equilibrium.minimize_I(_ID, grid, tol=1e-4, max_iter=200_000)
 
 
 @functools.cache
@@ -187,22 +183,18 @@ def criterion_8_rate_properties():
     segments; gradient vs finite differences to 1e-6; two-initialization
     uniqueness W1 <= 1e-3."""
     rng = np.random.default_rng(7)
-    configs = [
-        GasConfig(2, GFunction("log"), Potential.linear(1.0), 1.0),
-        GasConfig(2, GFunction("power", 2.0), Potential.linear(1.0), 1.0),
-        GasConfig(2, GFunction("asinh2"), Potential.polynomial([0.0, 0.0, 1.0]), 1.0),
-    ]
+    models = [_DH, GasModel(GFunction("power", 2.0), Potential.linear(1.0)),
+              GasModel(GFunction("asinh2"), Potential.polynomial([0.0, 0.0, 1.0]))]
     kernel_ok = True
-    for cfg in configs:
+    for model in models:
         x = np.exp(rng.uniform(np.log(1e-3), np.log(50.0), 100_000))
         y = np.exp(rng.uniform(np.log(1e-3), np.log(50.0), 100_000))
-        f = pair_kernel_f(x, y, cfg)
-        phi = pair_kernel_lower(x, cfg) + pair_kernel_lower(y, cfg)
+        f = pair_kernel_f(x, y, model)
+        phi = pair_kernel_lower(x, model) + pair_kernel_lower(y, model)
         kernel_ok &= bool(np.all(f >= phi - 1e-12))
 
-    cfg = _dh_config()
     nodes = equilibrium.make_grid(150, 1e-3, 4.0)
-    quad, lin = equilibrium._quadratic_model(nodes, cfg)
+    quad, lin = equilibrium._quadratic_model(nodes, _DH)
 
     def rate(w):                # rate_I's arithmetic on a model built once
         return 0.5 * float(w @ quad @ w) + float(lin @ w)
@@ -213,10 +205,10 @@ def criterion_8_rate_properties():
         wb = rng.dirichlet(np.ones(nodes.size))
         im = rate(0.5 * (wa + wb))
         convex_ok &= im <= 0.5 * (rate(wa) + rate(wb)) + 1e-10
-    convex_ok &= rate(wa) == equilibrium.rate_I(GridMeasure(nodes, wa), cfg)
+    convex_ok &= rate(wa) == equilibrium.rate_I(GridMeasure(nodes, wa), _DH)
 
     nodes_g = equilibrium.make_grid(80, 1e-3, 4.0)
-    mat, vv = equilibrium._quadratic_model(nodes_g, cfg)
+    mat, vv = equilibrium._quadratic_model(nodes_g, _DH)
     grad_ok = True
     for _ in range(10):
         w = rng.dirichlet(np.ones(nodes_g.size))
@@ -232,10 +224,10 @@ def criterion_8_rate_properties():
             grad_ok &= abs(fd - grad[idx]) <= 1e-6 * max(1.0, abs(grad[idx]))
 
     grid = equilibrium.make_grid(200, 1e-4, 4.0)
-    r1 = equilibrium.minimize_I(cfg, grid, tol=1e-5, max_iter=150_000)
+    r1 = equilibrium.minimize_I(_DH, grid, tol=1e-5, max_iter=150_000)
     shape = (grid / 4.0) * (1.0 - grid / 4.0) ** 4 * np.diff(voronoi_cell_edges(grid))
     w0 = np.maximum(shape, 1e-12)
-    r2 = equilibrium.minimize_I(cfg, grid, tol=1e-5, max_iter=150_000,
+    r2 = equilibrium.minimize_I(_DH, grid, tol=1e-5, max_iter=150_000,
                                 w0=w0 / w0.sum())
     uni = w1_distance(r1.minimizer, r2.minimizer)
     ok = kernel_ok and convex_ok and grad_ok and uni <= 1e-3
@@ -249,11 +241,10 @@ def criterion_9_empirical_rate():
     median lands within 0.1 of the (deep-grid) objective.  The medians
     themselves increase toward the optimum from below: off-diagonal
     empirical energies omit the positive self-energy term."""
-    cfg = _dh_config()
     ref = _dh_equilibrium_deep().objective
     meds = []
     for n in (64, 128, 256, 512):
-        vals = [equilibrium.rate_I_empirical(s, cfg) for s in _spectra(n, 0.0, 1.0, 11, 15)]
+        vals = [equilibrium.rate_I_empirical(s, _DH) for s in _spectra(n, 0.0, 1.0, 11, 15)]
         meds.append(float(np.median(vals)))
     dists = [abs(m - ref) for m in meds]
     decreasing = all(dists[k + 1] < dists[k] for k in range(len(dists) - 1))
@@ -267,11 +258,10 @@ def criterion_10_rate_j():
     """J(b_eq) = 0 exactly; J = +inf below b_eq; J strictly increasing on
     [b_eq, 3 b_eq] at 20 points for the DH configuration."""
     rep = _dh_equilibrium()
-    cfg = _dh_config()
-    j0 = equilibrium.rate_J_largest(rep.b_eq, rep, cfg)
-    j_below = equilibrium.rate_J_largest(0.9 * rep.b_eq, rep, cfg)
+    j0 = equilibrium.rate_J_largest(rep.b_eq, rep, _DH)
+    j_below = equilibrium.rate_J_largest(0.9 * rep.b_eq, rep, _DH)
     xs = np.linspace(rep.b_eq, 3.0 * rep.b_eq, 20)
-    js = equilibrium.rate_J_largest(xs, rep, cfg)
+    js = equilibrium.rate_J_largest(xs, rep, _DH)
     increasing = bool(np.all(np.diff(js) > 0))
     ok = j0 == 0.0 and np.isinf(j_below) and increasing
     return ok, (f"J(b_eq) = {j0}, J(0.9 b_eq) = {j_below}, "

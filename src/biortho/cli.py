@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import dh_law, ensemble, equilibrium, proof_lab, special
-from .gas_sampler import GasConfig, GFunction, Potential, mcmc_sample
+from .gas_sampler import GasConfig, GasModel, GFunction, Potential, mcmc_sample
 from .measures import voronoi_cell_edges
 
 
@@ -153,6 +153,7 @@ def _cmd_dh(args):
         fn = {"density": dh_law.dh_density, "cdf": law.cdf,
               "quantile": law.quantile}[args.op]
         if args.csv:
+            special.check_count("--grid-points", args.grid_points, 1)
             lo, hi = (0.005, 0.995) if args.op == "quantile" else (0.0, float(np.e))
             grid = np.linspace(lo, hi, args.grid_points)
             print("\n".join(["x,value"] + [_csv(row) for row in zip(grid, fn(grid))]))
@@ -197,14 +198,13 @@ def _cmd_sample_gas(args):
 
 
 def _solve(args):
-    """(cfg, report): the rate-functional solve the shared solver flags ask
-    for."""
+    """(model, report): the rate-functional solve the shared solver flags
+    ask for."""
     special.check_count("--grid", args.grid, 2)
-    # the rate functional reads no particle count; n = 2 as in acceptance._dh_config
-    cfg = GasConfig(n=2, g=GFunction.parse(args.g), v=Potential.parse(args.V))
+    model = GasModel(GFunction.parse(args.g), Potential.parse(args.V))
     grid = equilibrium.make_grid(args.grid, *_parse_pair(args.domain))
-    report = equilibrium.minimize_I(cfg, grid, tol=args.tol, max_iter=args.max_iter)
-    return cfg, report
+    report = equilibrium.minimize_I(model, grid, tol=args.tol, max_iter=args.max_iter)
+    return model, report
 
 
 def _run_config(args, **params):
@@ -238,12 +238,12 @@ def _cmd_equilibrium(args):
 
 def _cmd_rate_largest(args):
     special.check_count("--points", args.points, 1)
-    cfg, report = _solve(args)
+    model, report = _solve(args)
     x_hi = args.x_max if args.x_max is not None else 3.0 * report.b_eq
     if not (np.isfinite(x_hi) and x_hi > report.b_eq):
         raise ValueError(f"--x-max must be finite and above b_eq = {report.b_eq:.6g}")
     xs = np.linspace(report.b_eq, x_hi, args.points)
-    js = equilibrium.rate_J_largest(xs, report, cfg)
+    js = equilibrium.rate_J_largest(xs, report, model)
     payload = {"b_eq": report.b_eq, "kappa": report.kappa, "objective": report.objective,
                "x": xs.tolist(), "j": [float(v) for v in js],
                "run_config": _run_config(args, x_max=x_hi, points=int(args.points))}

@@ -9,6 +9,7 @@ spread over its Voronoi cell and g_*mu over those of g(nodes), it becomes
 a strictly convex quadratic F(w) = w'Mw/2 + V'w on the probability simplex,
 M = K(nodes) + K(g(nodes)) (the exact cell-pair kernels of `measures`).
 Fixing the nodes and optimizing only the weights keeps the problem convex.
+Every function reads only g and v of its `cfg`, a GasModel or GasConfig.
 
 Its KKT conditions are the discrete Frostman conditions: the gradient
 d = Mw + V equals a constant c on the support and is no smaller off it

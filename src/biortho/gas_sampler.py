@@ -7,8 +7,8 @@ The target is the unnormalized density
 for an increasing interaction map g and a polynomial potential V (degree
 >= 1, positive leading coefficient).  Every such gas confines, as the pair
 kernel's minorant V/2 - log(1+t)/2 - log(1+|g|)/2 goes to +inf, except
-g = exp with V of degree 1 and slope <= 1, which GasConfig refuses, so
-neither the sampler nor the equilibrium solver ever sees it.
+g = exp with V of degree 1 and slope <= 1, which GasModel refuses, and so
+every GasConfig: neither the sampler nor the equilibrium solver sees it.
 _G_KINDS maps each interaction kind to g(x, theta); V is one polynomial,
 evaluated by Horner's rule (`linear:a` is the polynomial 0 + a*x).
 
@@ -112,8 +112,9 @@ class GFunction:
 
     @property
     def label(self):
+        # CLI syntax: theta's shortest repr parses back to theta exactly
         if self.kind == "power":
-            return f"power:{self.theta:g}"
+            return f"power:{float(self.theta)!r}".removesuffix(".0")
         return self.kind
 
 
@@ -172,10 +173,24 @@ class Potential:
 
 
 @dataclass(frozen=True)
-class GasConfig:
-    """Full gas specification: particle count, interaction map, potential,
-    weight exponent.  The one gas that does not confine, g = exp with V of
+class GasModel:
+    """Interaction map and potential, all the rate functional and the pair
+    kernels read.  The one pair that does not confine, g = exp with V of
     degree 1 and slope <= 1, raises a ValueError starting "growth: "."""
+
+    g: GFunction
+    v: Potential
+
+    def __post_init__(self):
+        if self.g.kind == "exp" and len(self.v.coeffs) == 2 and self.v.coeffs[1] <= 1.0:
+            raise ValueError(f"growth: V's slope {self.v.coeffs[1]:g} <= 1 does not outgrow "
+                             "log g(x) = x, so the gas with g = exp does not confine")
+
+
+@dataclass(frozen=True)
+class GasConfig:
+    """Full gas specification for the sampler: particle count, interaction
+    map, potential, weight exponent; (g, V) must make a GasModel."""
 
     n: int
     g: GFunction
@@ -186,9 +201,7 @@ class GasConfig:
         check_count("n", self.n, 1)
         if not 0 < self.b < np.inf:
             raise ValueError("weight exponent b must be finite and > 0")
-        if self.g.kind == "exp" and len(self.v.coeffs) == 2 and self.v.coeffs[1] <= 1.0:
-            raise ValueError(f"growth: V's slope {self.v.coeffs[1]:g} <= 1 does not outgrow "
-                             "log g(x) = x, so the gas with g = exp does not confine")
+        GasModel(self.g, self.v)
 
 
 @dataclass

@@ -25,14 +25,13 @@ from .measures import (EmpiricalMeasure, bl_distance, log_kernel_mean, lower_pai
 class NiceMeasure:
     """Compactly supported measure with two-sided density bounds.
 
-    density and quantile are vectorized callables; C >= 1 bounds the density
-    between 1/C and C on [a, b].  analytic_energy, when known, is the exact
+    quantile is a vectorized callable; C >= 1 bounds the density between
+    1/C and C on [a, b].  analytic_energy, when known, is the exact
     logarithmic energy (used as the independent reference in gap tests).
     """
 
     a: float
     b: float
-    density: object
     quantile: object
     C: float
     analytic_energy: float = None
@@ -44,17 +43,11 @@ def uniform_nice(a, b):
     if not 0 < a < b < np.inf:
         raise ValueError("need finite 0 < a < b")
     width = b - a
-    dens = 1.0 / width
-
-    def density(x):
-        x = np.asarray(x, dtype=float)
-        return np.where((x >= a) & (x <= b), dens, 0.0)
 
     def quantile(p):
         return a + np.asarray(p, dtype=float) * width
 
-    return NiceMeasure(a=a, b=b, density=density, quantile=quantile,
-                       C=max(dens, width, 1.0),
+    return NiceMeasure(a=a, b=b, quantile=quantile, C=max(1.0 / width, width, 1.0),
                        analytic_energy=1.5 - np.log(width))
 
 
@@ -71,9 +64,6 @@ def truncated_dh(lo, law=None):
     f_lo, f_hi = cdf.tolist()
     mass = f_hi - f_lo
 
-    def density(x):
-        return dh_law.dh_density(x) / mass
-
     def quantile(p):
         p = np.asarray(p, dtype=float)
         inner = np.clip(f_lo + p * mass, 1e-15, 1.0 - 1e-15)
@@ -84,7 +74,7 @@ def truncated_dh(lo, law=None):
     if not f_min > 0.0:     # a few ulps below e the density is taken as 0
         raise ValueError(f"the density is 0 at e - lo for lo = {lo:g}; need lo >= 2.9e-15")
     c = max(float(f_max), 1.0 / float(f_min), 1.0)
-    return NiceMeasure(a=lo, b=hi, density=density, quantile=quantile, C=c)
+    return NiceMeasure(a=lo, b=hi, quantile=quantile, C=c)
 
 
 @dataclass(frozen=True)

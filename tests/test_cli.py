@@ -164,9 +164,13 @@ class TestDispatch:
         (("rate-largest", "--V", "linear:"), "cannot parse potential 'linear:'"),
         (("quantile-check", "--dist", "dh-trunc:x"), "cannot parse distribution 'dh-trunc:x'"),
         (("equilibrium", "--grid", "1"), "--grid must be an integer >= 2, not 1"),
+        (("dh", "cdf", "--csv", "--grid-points", "-1"),
+         "--grid-points must be an integer >= 1, not -1"),
+        (("dh", "cdf", "--csv", "--grid-points", "0"),
+         "--grid-points must be an integer >= 1, not 0"),
     ])
     def test_flag_error_quotes_the_input(self, tmp_path, capsys, argv, message):
-        if argv[0] != "quantile-check":
+        if argv[0] not in ("quantile-check", "dh"):
             argv += ("--out", str(tmp_path / "out"))
         assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 

@@ -8,7 +8,7 @@ import pytest
 
 from biortho import ensemble as en
 from biortho import gas_sampler
-from biortho.gas_sampler import GasConfig, GFunction, Potential, mcmc_sample
+from biortho.gas_sampler import GasConfig, GasModel, GFunction, Potential, mcmc_sample
 from biortho.measures import EmpiricalMeasure, w1_distance
 
 # Runs that cross the sampler's block boundaries, as hex floats: g = log,
@@ -80,6 +80,11 @@ class TestGFunction:
             GFunction("power", -1.0)
         with pytest.raises(ValueError, match="finite"):
             GFunction("power", np.inf)
+        # the label is CLI syntax that parses back to the same theta
+        for theta, label in ((1.0000001, "power:1.0000001"), (2.0, "power:2"),
+                             (0.5, "power:0.5"), (1e-20, "power:1e-20")):
+            assert GFunction("power", theta).label == label
+            assert GFunction.parse(label).theta == theta
 
     @pytest.mark.parametrize("text", ["log:3", "id:2", "exp:1", "identity:x", "log:"])
     def test_only_power_takes_an_argument(self, text):
@@ -168,11 +173,13 @@ class TestConfinementRule:
     # +inf unless g = exp and V = c0 + a*x with a <= 1; b plays no part
 
     @pytest.mark.parametrize("v", ["linear:1", "linear:0.5", "poly:3,1"])
-    @pytest.mark.parametrize("b", [0.5, 30.0])
+    @pytest.mark.parametrize("b", [0.5, 30.0, pytest.param(None, id="GasModel")])
     def test_exp_with_slope_at_most_one_is_refused(self, v, b):
-        # GasConfig itself refuses it, so neither sampler nor solver sees it
+        # GasModel refuses it, and GasConfig (given a b) by building one, so
+        # neither sampler nor solver sees it
+        g, v = GFunction("exp"), Potential.parse(v)
         with pytest.raises(ValueError, match="^growth: "):
-            GasConfig(4, GFunction("exp"), Potential.parse(v), b)
+            GasModel(g, v) if b is None else GasConfig(4, g, v, b)
 
     @pytest.mark.parametrize("g, v", [("exp", "linear:1.5"), ("exp", "poly:0,0,1"),
                                       ("exp", "poly:0,0.5,0.01"), ("log", "linear:0.05"),

@@ -1,6 +1,6 @@
 """No unused top-level imports, and no public name, private top-level
-function or module-level assignment that only its own definition or the
-tests use, in the package (no lint tool is installed)."""
+function, module-level assignment or dataclass field that only its own
+definition or the tests use, in the package (no lint tool is installed)."""
 
 import ast
 from pathlib import Path
@@ -58,6 +58,16 @@ def test_no_unused_imports(path):
 UNCALLED_ALLOWED = {"kkt_residual"}
 
 
+# dataclass fields no package code reads, each with its reason: records
+# returned to the caller whole
+UNREAD_FIELDS_ALLOWED = {
+    "McmcDiagnostics.acceptance_rate": "the pooled rate, for callers; perfbench reads it",
+    "McmcDiagnostics.step_sizes": "the frozen step sizes, for callers; the pins read them",
+    "McmcDiagnostics.wall_s": "the sampler's own wall time, for callers",
+    "EnergyGap.riemann_sum_g": "the g-image twin of riemann_sum, which criterion 7 reads",
+}
+
+
 def public_definitions(source):
     """Qualified names of public top-level functions and classes and of the
     public methods of public top-level classes, in source order."""
@@ -90,13 +100,24 @@ def module_assignments(source):
             and not (target.id.startswith("__") and target.id.endswith("__"))]
 
 
+def dataclass_fields(source):
+    """Qualified names of the annotated fields of every class decorated
+    with dataclass (called or not), in source order."""
+    return [f"{node.name}.{item.target.id}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef)
+            and any(getattr(getattr(d, "func", d), "id", None) == "dataclass"
+                    for d in node.decorator_list)
+            for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+
+
 def used_names(source):
-    """(top, any): names used anywhere in the source, except inside the
-    definition that binds the same name.  `top` holds what can reach a
-    top-level definition: a bare name read (not stored), a name imported, or
-    an attribute read on a module bound by an import (function-local imports
-    included).  `any` adds every attribute, which is all a method call
-    shows."""
+    """(top, attrs): names used in the source, except inside the definition
+    that binds the same name.  `top` holds what can reach a top-level
+    definition: a bare name read (not stored), a name imported, or an
+    attribute read on a module bound by an import (function-local imports
+    included).  `attrs` holds every attribute, which is all a method call or
+    a field read shows."""
     tree = ast.parse(source)
     modules = {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
                if isinstance(node, ast.Import)
@@ -120,16 +141,17 @@ def used_names(source):
             visit(child, enclosing)
 
     visit(tree, frozenset())
-    return top, top | attrs
+    return top, attrs
 
 
 def uncalled(sources, definitions):
     """Names that definitions(source) lists for some package source and
     that no package source uses outside their own definition: a top-level
-    name by the `top` rule of used_names, a method by any attribute read."""
-    top, anywhere = (set().union(*names) for names in zip(*map(used_names, sources)))
+    name by the `top` rule of used_names, a method or a field by any
+    attribute read."""
+    top, attrs = (set().union(*names) for names in zip(*map(used_names, sources)))
     return [name for src in sources for name in definitions(src)
-            if name.rsplit(".", 1)[-1] not in (anywhere if "." in name else top)]
+            if name.rsplit(".", 1)[-1] not in (attrs if "." in name else top)]
 
 
 def test_uncalled_checker():
@@ -160,6 +182,14 @@ def test_uncalled_checker():
     assert module_assignments(consts) == ["read", "_kept", "unread", "_orphan", "_LIMIT"]
     assert uncalled([consts, "from .consts import read\n"],
                     module_assignments) == ["unread", "_orphan"]
+    records = ("@dataclass(frozen=True)\nclass Pair:\n    x: float\n    y: object = None\n"
+               "@dataclass\nclass Log:\n    t: float\n"
+               "class Plain:\n    z: int\n"
+               "def total(p, log):\n    return p.x + log.t\n"
+               "def make(y):\n    return Pair(1.0, y=y)\n")
+    # a bare name or a keyword of the field's name reads no field
+    assert dataclass_fields(records) == ["Pair.x", "Pair.y", "Log.t"]
+    assert uncalled([records], dataclass_fields) == ["Pair.y"]
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +209,10 @@ def test_no_private_function_only_tests_call(sources):
 
 def test_no_module_constant_only_tests_read(sources):
     assert uncalled(sources, module_assignments) == []
+
+
+def test_no_dataclass_field_only_tests_read(sources):
+    assert set(uncalled(sources, dataclass_fields)) - UNREAD_FIELDS_ALLOWED.keys() == set()
 
 
 # the package's argument contract: special.elementwise is the one scalar/array

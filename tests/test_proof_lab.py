@@ -347,9 +347,15 @@ def test_truncated_dh_one_cut_solve(monkeypatch):
     assert calls == [2]
 
 
+def conditioned_dh_density(x, lo):
+    """The DH density conditioned to [lo, e - lo]: f(x) / (F(e - lo) - F(lo))."""
+    f_lo, f_hi = dh_law.DHLaw().cdf(np.array([lo, np.e - lo]))
+    return dh_law.dh_density(x) / (f_hi - f_lo)
+
+
 def test_truncated_dh_density_bounds(dh_trunc):
     xs = np.linspace(dh_trunc.a, dh_trunc.b, 500)
-    dens = dh_trunc.density(xs)
+    dens = conditioned_dh_density(xs, dh_trunc.a)
     assert np.all(dens <= dh_trunc.C + 1e-12)
     assert np.all(dens >= 1.0 / dh_trunc.C - 1e-12)
     q = dh_trunc.quantile(np.array([0.0, 0.5, 1.0]))
@@ -362,6 +368,6 @@ def test_truncated_dh_density_bounds(dh_trunc):
 def test_truncated_dh_bound_from_endpoints(lo):
     # the DH density decreases on (0, e), so the two end values give C
     sigma = pl.truncated_dh(lo)
-    dens = sigma.density(np.linspace(lo, np.e - lo, 2001))
+    dens = conditioned_dh_density(np.linspace(lo, np.e - lo, 2001), lo)
     assert sigma.C == max(float(dens.max()), 1.0 / float(dens.min()), 1.0)
     assert np.all(np.diff(dh_law.dh_density(np.linspace(0.0, np.e, 100_001)[1:-1])) <= 0)
